@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 # JSON report written by bench-perf (override: make bench-perf OUT=foo.json).
-OUT ?= BENCH_PR10.json
+OUT ?= BENCH_PR12.json
 
 .PHONY: install test lint bench bench-perf bench-batch corpus-check corpus-update examples experiments clean
 
@@ -21,14 +21,14 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Timing harness for the controller fast path, the parallel trial layer,
-# the engine bit loop and the batch-replay backend; writes $(OUT) at the
+# Same-process regression guard: every fast path timed against its
+# oracle (docs/performance.md lists the entries); writes $(OUT) at the
 # repo root.
 bench-perf:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf_harness.py --out $(OUT)
 
-# Only the vectorised batch-enumeration section (engine vs batch backend
-# on identical verify_consistency universes, verdicts asserted equal).
+# Only the batch-enumeration entry (engine vs batch backend on one
+# verify_consistency universe, verdicts asserted equal).
 bench-batch:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf_harness.py --section batch_enumeration --out BENCH_BATCH.json
 

@@ -113,11 +113,9 @@ def _merge_counts(trials: int, parts: List[ChunkCounts]) -> MonteCarloResult:
         result.inconsistent += part.inconsistent
         result.no_fault_trials += part.no_fault_trials
         result.flips_total += part.flips_total
-        if part.backend_stats:
-            merged = result.backend_stats or {}
-            for key, value in part.backend_stats.items():
-                merged[key] = merged.get(key, 0) + value
-            result.backend_stats = merged
+    from repro.analysis.batchreplay import merge_stats
+
+    result.backend_stats = merge_stats(part.backend_stats for part in parts) or None
     return result
 
 

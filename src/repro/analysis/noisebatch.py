@@ -24,19 +24,15 @@ dispatch:
 numpy's ``Generator.random(k)`` fills from the same PCG64 stream as
 ``k`` scalar ``.random()`` calls (the invariant the Monte-Carlo tail
 chunk already relies on), so the vector scan preserves the engine's
-draw order exactly.  numpy ships with the ``repro[fast]`` extra; a
-scalar fallback keeps the scan correct (just not vectorised) for any
-generator exposing ``.random()``.
+draw order exactly.  A scalar loop keeps the scan correct (just not
+vectorised) for any other generator exposing ``.random()``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by numpy-less installs
-    np = None
+import numpy as np
 
 #: Draws per vectorised scan call: large enough to amortise the call,
 #: small enough that a hit early in a long window wastes little work.
@@ -45,7 +41,7 @@ SCAN_CHUNK = 65536
 
 def _vector_generator(rng) -> bool:
     """Whether ``rng`` supports numpy's vectorised ``random(k)``."""
-    return np is not None and isinstance(rng, np.random.Generator)
+    return isinstance(rng, np.random.Generator)
 
 
 def first_flip(rng, total: int, ber: float, chunk: int = SCAN_CHUNK) -> Optional[int]:

@@ -174,13 +174,11 @@ def ablation_row(
         f1_closed = f1.holds
     stats: Optional[dict] = None
     if backend == "batch":
-        stats = {}
-        parts = [tail.backend_stats]
-        if f1 is not None:
-            parts.append(f1.backend_stats)
-        for part in parts:
-            for key, value in (part or {}).items():
-                stats[key] = stats.get(key, 0) + value
+        from repro.analysis.batchreplay import merge_stats
+
+        stats = merge_stats(
+            [tail.backend_stats, f1.backend_stats if f1 is not None else None]
+        )
     return MAblationRow(
         m=m,
         best_case_bits=best_case_overhead_bits(m),

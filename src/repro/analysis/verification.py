@@ -272,14 +272,13 @@ def verify_consistency(
         )
         for chunk in _chunked(combos, chunk_placements)
     )
-    for part in run_tasks(tasks, jobs):
+    parts = run_tasks(tasks, jobs)
+    for part in parts:
         result.runs += part.runs
         result.counterexamples.extend(Counterexample(*hit) for hit in part.hits)
-        if part.stats:
-            merged = result.backend_stats or {}
-            for key, value in part.stats.items():
-                merged[key] = merged.get(key, 0) + value
-            result.backend_stats = merged
+    from repro.analysis.batchreplay import merge_stats
+
+    result.backend_stats = merge_stats(part.stats for part in parts) or None
     return result
 
 

@@ -168,9 +168,10 @@ def run_campaign(
             set_worker_context(())
     else:
         chunks = run_tasks(tasks, jobs)
+    from repro.analysis.batchreplay import merge_stats
+
+    outcome.backend_stats = merge_stats(chunk.stats for chunk in chunks)
     for chunk in chunks:
-        for key, value in chunk.stats.items():
-            outcome.backend_stats[key] = outcome.backend_stats.get(key, 0) + value
         for round_index, attacked, category, injected in chunk.rounds:
             outcome.rounds += 1
             outcome.attacked_rounds += int(attacked)

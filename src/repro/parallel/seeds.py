@@ -14,24 +14,13 @@ from __future__ import annotations
 
 from typing import List, Union
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by numpy-less installs
-    np = None
+import numpy as np
 
 #: Everything a chunk can carry across a process boundary as its seed.
 #: ``SeedSequence`` and ``Generator`` both pickle cleanly.
 ChildSeed = Union["np.random.SeedSequence", "np.random.Generator"]
 
 SeedLike = Union[int, None, "np.random.SeedSequence", "np.random.Generator"]
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ImportError(
-            "numpy is required for deterministic seed splitting; "
-            "install the 'repro[fast]' extra"
-        )
 
 
 def spawn_seeds(seed: SeedLike, count: int) -> List[ChildSeed]:
@@ -44,7 +33,6 @@ def spawn_seeds(seed: SeedLike, count: int) -> List[ChildSeed]:
     """
     if count < 0:
         raise ValueError("count must be non-negative, got %d" % count)
-    _require_numpy()
     if isinstance(seed, np.random.Generator):
         return list(seed.spawn(count))
     if isinstance(seed, np.random.SeedSequence):
@@ -54,7 +42,6 @@ def spawn_seeds(seed: SeedLike, count: int) -> List[ChildSeed]:
 
 def rng_from(child: ChildSeed) -> "np.random.Generator":
     """Instantiate the generator for one spawned child seed."""
-    _require_numpy()
     if isinstance(child, np.random.Generator):
         return child
     return np.random.default_rng(child)

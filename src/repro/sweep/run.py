@@ -270,17 +270,17 @@ def run_sweep(
             cell_budget = 0
         deferred = max(0, len(pending) - cell_budget)
         pending = pending[:cell_budget]
+    from repro.analysis.batchreplay import merge_stats
+
     tasks = _chunk_tasks(pending, spec, backend)
     set_worker_context(_universe_context(pending, spec))
     try:
         evaluated = 0
-        stats: Dict[str, int] = {}
+        cell_stats: List[Optional[Dict[str, int]]] = []
         for records in imap_tasks(tasks, jobs=jobs):
             store.append(records)
             evaluated += len(records)
-            for record in records:
-                for key, value in (stats_of(record) or {}).items():
-                    stats[key] = stats.get(key, 0) + int(value)
+            cell_stats.extend(stats_of(record) for record in records)
             if progress is not None:
                 progress(evaluated, len(pending))
     finally:
@@ -298,7 +298,7 @@ def run_sweep(
         deferred=deferred,
         stored=status.records,
         digest=status.digest,
-        backend_stats=stats,
+        backend_stats=merge_stats(cell_stats),
     )
 
 

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import batchreplay
 from repro.analysis.batchreplay import (
-    HAVE_NUMPY,
     BatchReplayEvaluator,
     classify_placements,
     tail_shape,
@@ -158,21 +158,26 @@ class TestSeededRandomSweep:
             expected = engine_oracle(protocol, m, node_names, combo, frame)
             assert (outcome.deliveries, outcome.attempts) == expected, combo
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs the numpy backend")
-    def test_numpy_and_python_backends_agree(self):
+    def test_numpy_and_python_backends_agree(self, monkeypatch):
+        """The array pass and the scalar micro-sim, each forced in turn."""
         node_names = ["tx", "r1", "r2"]
+
+        def classify(break_even, protocol, m, combos):
+            monkeypatch.setattr(batchreplay, "_ARRAY_BREAK_EVEN", break_even)
+            batchreplay.clear_caches()
+            evaluator = BatchReplayEvaluator(protocol, m, node_names)
+            outcomes = evaluator.evaluate(combos)
+            return outcomes, evaluator.stats
+
         for protocol, m in SWEEP_CONFIGS:
             sites = universe(protocol, m, node_names)
             rng = random.Random(7 * m)
             combos = [(s,) for s in sites] + [
                 tuple(rng.sample(sites, 2)) for _ in range(40)
             ]
-            vec = BatchReplayEvaluator(
-                protocol, m, node_names, backend="numpy"
-            ).evaluate(combos)
-            pure = BatchReplayEvaluator(
-                protocol, m, node_names, backend="python"
-            ).evaluate(combos)
+            vec, vec_stats = classify(0, protocol, m, combos)
+            pure, pure_stats = classify(10**9, protocol, m, combos)
+            assert vec_stats["batch"] > 0 and pure_stats["batch"] == 0
             for a, b in zip(vec, pure):
                 assert (a.deliveries, a.attempts) == (b.deliveries, b.attempts)
 
@@ -516,8 +521,6 @@ class TestWiredEntryPoints:
             enumerate_tail_patterns("can", backend="cuda")
         with pytest.raises(AnalysisError):
             monte_carlo_tail("can", trials=1, backend="cuda")
-        with pytest.raises(ValueError):
-            BatchReplayEvaluator("can", 5, ["tx", "r1"], backend="cuda")
 
 
 class TestSignalShapeHook:

@@ -52,7 +52,11 @@ def check_verification() -> dict:
     """≤2-flip header+tail combo universe through the evaluator."""
     import itertools
 
-    from repro.analysis.batchreplay import BatchReplayEvaluator, clear_caches
+    from repro.analysis.batchreplay import (
+        BatchReplayEvaluator,
+        clear_caches,
+        merge_stats,
+    )
     from repro.analysis.verification import header_sites
     from repro.can.fields import EOF
     from repro.can.frame import data_frame
@@ -60,7 +64,7 @@ def check_verification() -> dict:
 
     node_names = ("tx", "r1", "r2")
     frame = data_frame(0x123, b"", message_id="share-check")
-    stats = {}
+    parts = []
     for protocol, m in (("can", 5), ("majorcan", 5)):
         probe = make_controller(protocol, "probe", m=m)
         sites = list(header_sites(node_names, data_bits=0))
@@ -77,18 +81,17 @@ def check_verification() -> dict:
         clear_caches()
         evaluator = BatchReplayEvaluator(protocol, m, node_names, frame=frame)
         evaluator.evaluate(combos)
-        for key, value in evaluator.stats.items():
-            stats[key] = stats.get(key, 0) + value
-    return stats
+        parts.append(evaluator.stats)
+    return merge_stats(parts)
 
 
 def check_campaign() -> dict:
     """One seeded noise-free campaign per protocol on the batch backend."""
+    from repro.analysis.batchreplay import merge_stats
     from repro.faults.campaigns import CampaignSpec, run_campaign
 
-    stats = {}
-    for protocol in ("can", "minorcan", "majorcan"):
-        outcome = run_campaign(
+    return merge_stats(
+        run_campaign(
             CampaignSpec(
                 protocol=protocol,
                 n_nodes=4,
@@ -97,21 +100,19 @@ def check_campaign() -> dict:
                 seed=17,
             ),
             backend="batch",
-        )
-        for key, value in outcome.backend_stats.items():
-            stats[key] = stats.get(key, 0) + value
-    return stats
+        ).backend_stats
+        for protocol in ("can", "minorcan", "majorcan")
+    )
 
 
 def check_reliability() -> dict:
     """The enumerated reliability rates on the batch backend."""
+    from repro.analysis.batchreplay import merge_stats
     from repro.analysis.reliability import reliability_comparison
 
-    stats = {}
-    for row in reliability_comparison(1e-5, backend="batch"):
-        for key, value in (row.backend_stats or {}).items():
-            stats[key] = stats.get(key, 0) + value
-    return stats
+    return merge_stats(
+        row.backend_stats for row in reliability_comparison(1e-5, backend="batch")
+    )
 
 
 def check_noisy_traffic() -> dict:

@@ -1,27 +1,25 @@
 #!/usr/bin/env python
 """Per-PR performance regression gate.
 
-Compares a freshly measured perf-harness report (typically CI's
-``--smoke`` run) against the committed baseline (``BENCH_PR10.json``)
-and fails when a hot-loop metric regressed beyond the tolerance.
+Compares a freshly measured perf-harness report against the committed
+baseline (``BENCH_PR12.json``).  Every entry of the baseline is gated
+on its ``speedup``: a same-process ratio of an oracle over the fast
+path that must stay bit-identical to it, so host speed divides out and
+a ratio measured on one machine bounds one measured on another.
 
-Only *ratio* metrics are compared — speedups of one code path over
-another measured in the same process.  Absolute rates (bits/sec,
-trials/sec) shift with the host, the runner's load and the CPU budget,
-so they cannot gate anything across machines; a speedup divides all of
-that out.  The compared universes are also identical between smoke and
-full runs (the smoke report shrinks *other* sections, not these), so
-baseline-vs-smoke is apples to apples.
+An entry fails when
 
-A metric missing from either file is skipped with a notice rather than
-failed: sections can be run selectively (``--section``), and older
-baselines predate newer metrics.
+* it is missing from the report;
+* its measured speedup is below ``baseline * (1 - tolerance)``;
+* its ``spread`` (how far the median timed region sat above the best,
+  on the noisier side) exceeds the tolerance in either file, because a
+  ratio drawn from that much noise cannot tell a regression apart.
 
 Usage::
 
     python tools/perf_gate.py BASELINE REPORT [--tolerance 0.30]
 
-Exit status 0 when every present metric passes, 1 on any regression.
+Exit status 0 when every baseline entry passes, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -30,101 +28,46 @@ import argparse
 import json
 import sys
 
-#: Gated metrics, as dotted paths into the report dict.  All are
-#: same-process speedup ratios over identical workloads:
-#: * ``engine.fast_path_speedup``     — record_bits=False vs recorded;
-#: * ``controller.fast_path_speedup`` — table-driven vs reference
-#:   state machine on the record_bits=False hot loop;
-#: * ``batch_enumeration.speedup``    — batch replay vs one engine run
-#:   per placement on the can/2-flip verification universe;
-#: * ``header_enumeration.speedup``   — batch vs engine on the
-#:   header-heavy ``m_ablation check_f1`` sweep (rows asserted equal);
-#: * ``montecarlo_batch.speedup``     — chunked-draw batch vs engine
-#:   ``monte_carlo_tail`` at one seed (counts asserted bit-identical);
-#: * ``multiflip_header.speedup``     — batch classification of the
-#:   full ≤2-flip header+tail combo universe vs one engine run per
-#:   combo (verdicts asserted identical in-harness);
-#: * ``campaign_batch.speedup``       — batch vs engine
-#:   ``run_campaign`` on one seeded schedule (rows asserted identical);
-#: * ``reliability_batch.speedup``    — batch vs engine enumerated
-#:   ``reliability_comparison`` rates (rows asserted identical);
-#: * ``traffic_steady_state.speedup`` — controller fast path vs
-#:   reference state machine driving the same steady-state traffic run
-#:   (ledgers asserted identical); traffic-driver overhead is common
-#:   to both sides, so a driver regression drags this ratio toward 1;
-#: * ``sweep.speedup``                — batch vs engine ``run_sweep``
-#:   over the same small design-space grid into fresh result stores
-#:   (stored payloads asserted identical); store/driver overhead is
-#:   common to both sides, so a sweep-engine regression drags this
-#:   ratio toward 1;
-#: * ``traffic_batch.speedup``        — frame-granular batch windows
-#:   vs the per-bit engine on one clean contended traffic profile
-#:   with cold window caches (serialized records, ledger, stats and
-#:   AB1–AB5 asserted identical in-harness; engine share must be 0);
-#: * ``noise_batch.traffic.speedup``  — vectorised first-flip scan +
-#:   resume vs the per-bit engine on one noisy contended traffic
-#:   profile with cold caches (serialized records asserted identical
-#:   in-harness; full-engine share must stay under 10%);
-#: * ``noise_batch.campaign.speedup`` — flip-scanned noisy campaign
-#:   rounds vs the engine on one seeded schedule (campaign surface
-#:   asserted identical in-harness).
-GATED_METRICS = (
-    "engine.fast_path_speedup",
-    "controller.fast_path_speedup",
-    "batch_enumeration.speedup",
-    "header_enumeration.speedup",
-    "montecarlo_batch.speedup",
-    "multiflip_header.speedup",
-    "campaign_batch.speedup",
-    "reliability_batch.speedup",
-    "traffic_steady_state.speedup",
-    "traffic_batch.speedup",
-    "sweep.speedup",
-    "noise_batch.traffic.speedup",
-    "noise_batch.campaign.speedup",
-)
-
-#: A measured metric below ``baseline * (1 - TOLERANCE)`` fails the
-#: gate: >30% regression on a hot-loop speedup is a real change, not
-#: runner noise.
+#: A measured speedup below ``baseline * (1 - TOLERANCE)`` fails the
+#: gate: a >30% drop of a same-process ratio is a real change, not
+#: runner noise.  The same bound caps each file's ``spread``.
 TOLERANCE = 0.30
 
 
-def lookup(report: dict, path: str):
-    """Resolve a dotted ``path`` in ``report``; None when absent."""
-    node = report
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return node
-
-
 def check(baseline: dict, report: dict, tolerance: float = TOLERANCE) -> list:
-    """Compare every gated metric; return failure description lines."""
+    """Compare every baseline entry; return failure description lines."""
     failures = []
-    for metric in GATED_METRICS:
-        expected = lookup(baseline, metric)
-        measured = lookup(report, metric)
-        if not isinstance(expected, (int, float)) or not isinstance(
-            measured, (int, float)
-        ):
-            print("perf-gate: skip %-32s (missing from %s)" % (
-                metric,
-                "baseline" if expected is None else "report",
-            ))
+    measured_entries = report.get("entries", {})
+    for name, expected in baseline["entries"].items():
+        measured = measured_entries.get(name)
+        if measured is None:
+            failures.append("%s is missing from the report" % name)
             continue
-        floor = expected * (1.0 - tolerance)
-        verdict = "ok" if measured >= floor else "REGRESSED"
+        floor = expected["speedup"] * (1.0 - tolerance)
         print(
-            "perf-gate: %-37s baseline x%.2f  measured x%.2f  floor x%.2f  %s"
-            % (metric, expected, measured, floor, verdict)
+            "perf-gate: %-22s baseline x%6.2f  measured x%6.2f  floor x%6.2f"
+            "  spread %3.0f%%/%3.0f%%"
+            % (
+                name,
+                expected["speedup"],
+                measured["speedup"],
+                floor,
+                100.0 * expected["spread"],
+                100.0 * measured["spread"],
+            )
         )
-        if measured < floor:
+        if measured["speedup"] < floor:
             failures.append(
                 "%s regressed: x%.2f < x%.2f (baseline x%.2f - %d%%)"
-                % (metric, measured, floor, expected, round(tolerance * 100))
+                % (name, measured["speedup"], floor, expected["speedup"],
+                   round(tolerance * 100))
             )
+        for label, entry in (("baseline", expected), ("report", measured)):
+            if entry["spread"] > tolerance:
+                failures.append(
+                    "%s is too noisy in the %s: spread %.0f%% > %.0f%%"
+                    % (name, label, 100.0 * entry["spread"], 100.0 * tolerance)
+                )
     return failures
 
 
@@ -136,7 +79,7 @@ def main(argv=None) -> int:
         "--tolerance",
         type=float,
         default=TOLERANCE,
-        help="allowed fractional regression per metric (default 0.30)",
+        help="allowed fractional regression and spread (default 0.30)",
     )
     args = parser.parse_args(argv)
     with open(args.baseline) as handle:
@@ -147,7 +90,7 @@ def main(argv=None) -> int:
     for failure in failures:
         print("perf-gate: FAIL %s" % failure)
     if not failures:
-        print("perf-gate: all gated metrics within tolerance")
+        print("perf-gate: all entries within tolerance")
     return 1 if failures else 0
 
 
