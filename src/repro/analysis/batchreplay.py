@@ -519,10 +519,8 @@ class BatchReplayEvaluator:
         stat: str,
     ) -> None:
         """Record a fresh canonical verdict and fan it out to waiters."""
-        if len(_COMBO_CACHE) >= _COMBO_CACHE_LIMIT:
-            _COMBO_CACHE.clear()
         entry = (outcome.deliveries, outcome.attempts, stat)
-        _COMBO_CACHE[key] = entry
+        bounded_put(_COMBO_CACHE, key, entry)
         first = True
         for position, back in waiters:
             if not first:
@@ -639,7 +637,7 @@ class BatchReplayEvaluator:
                 self.protocol, self.m, self.frame, role, n_eff,
                 field_name, index,
             )
-            _HEADER_CLASS_CACHE[cache_key] = verdict
+            bounded_put(_HEADER_CLASS_CACHE, cache_key, verdict)
         tx_count, faulted_count, witness_count, attempts = verdict
         if role == "tx":
             deliveries = tuple(
@@ -693,7 +691,7 @@ class BatchReplayEvaluator:
             verdict = _reduced_class_run(
                 self.protocol, self.m, self.frame, groups, has_witness
             )
-            _REDUCED_CACHE[cache_key] = verdict
+            bounded_put(_REDUCED_CACHE, cache_key, verdict)
         tx_count, faulted_counts, witness_count, attempts = verdict
         by_node = dict(zip(rx_nodes, faulted_counts))
         deliveries = tuple(
@@ -738,8 +736,8 @@ class BatchReplayEvaluator:
 #: Reduced-run verdicts per header equivalence class, keyed by
 #: ``(protocol, m, frame, role, n_eff, class_key)`` and holding
 #: ``(tx_count, faulted_count, witness_count, attempts)``.  Module-level
-#: so every evaluator in a process (and every chunk in a warmed pool
-#: worker) shares one cache; entries are tiny tuples.
+#: so every evaluator in a process (and every chunk a long-lived pool
+#: worker runs) shares one cache; entries are tiny tuples.
 _HEADER_CLASS_CACHE: Dict[Tuple, Tuple[int, int, int, int]] = {}
 
 #: Reduced-run verdicts per multi-fault group arrangement, keyed by
@@ -753,11 +751,27 @@ _REDUCED_CACHE: Dict[Tuple, Tuple[int, Tuple[int, ...], int, int]] = {}
 #: ``(protocol, m, frame, n_nodes, canonical_sites)`` and holding
 #: ``(deliveries, attempts, stat)``.  Shared by every evaluator in a
 #: process, so chunked Monte-Carlo draws and overlapping verification
-#: universes classify repeats at lookup cost.  Bounded by a wholesale
-#: clear — entries are tiny and the universes that feed it are small,
-#: so the limit only guards runaway many-frame campaigns.
+#: universes classify repeats at lookup cost.
 _COMBO_CACHE: Dict[Tuple, Tuple[Tuple[int, ...], int, str]] = {}
+
+#: Entry bound of every module-level verdict cache (see
+#: :func:`bounded_put`).  Entries are tiny and the universes that feed
+#: the caches are small, so the limit only guards runaway many-frame
+#: campaigns and the memory of long-lived pool workers.
 _COMBO_CACHE_LIMIT = 1 << 19
+
+
+def bounded_put(cache: Dict, key, value) -> None:
+    """Store ``key`` in a module-level cache, clearing it when full.
+
+    The one eviction policy of the verdict caches: a wholesale clear at
+    :data:`_COMBO_CACHE_LIMIT` entries.  Cached values are pure
+    functions of their keys, so a clear only costs recomputation.
+    """
+    if len(cache) >= _COMBO_CACHE_LIMIT:
+        cache.clear()
+    cache[key] = value
+
 
 #: Minimum fresh-placement batch for the numpy array pass; below this
 #: the scalar micro-sim's ~40us/placement beats the array loop's fixed
@@ -842,47 +856,6 @@ def _header_class_run(
         outcome.deliveries["wit"] if "wit" in outcome.deliveries else tx_count
     )
     return (tx_count, faulted_count, witness_count, outcome.attempts)
-
-
-def warm_shapes(payload: bytes = b"\x55") -> None:
-    """Pre-populate the wire/tail/header shape caches in this process.
-
-    Called from the worker-pool initializer so every worker expands the
-    default campaign frame once per campaign instead of once per chunk.
-    Covers the protocols and ``m`` values the sweeps iterate over; other
-    frames still warm lazily through the ``lru_cache``s.
-    """
-    frame = data_frame(0x123, payload, message_id="m")
-    for protocol, ms in (
-        ("can", (5,)),
-        ("minorcan", (5,)),
-        ("majorcan", (3, 4, 5, 6, 7)),
-    ):
-        for m in ms:
-            shape = tail_shape(protocol, m, frame)
-            header_shape(frame, shape.eof_length)
-
-
-def warm_universe(entries: Sequence[Tuple[str, int, str]]) -> None:
-    """Pre-populate the shape caches for an explicit cell universe.
-
-    ``entries`` is a sequence of ``(protocol, m, payload_hex)`` triples
-    — the distinct frame universes of a sweep, picklable so the driver
-    can broadcast them to pool workers once per fork (via the pool's
-    worker context) instead of letting every chunk warm its own.  Like
-    :func:`warm_shapes` this is purely a cache fill; bad entries are
-    skipped rather than raised so a stale context can never take a
-    worker down.
-    """
-    for protocol, m, payload_hex in entries:
-        try:
-            frame = data_frame(
-                0x123, bytes.fromhex(payload_hex), message_id="m"
-            )
-            shape = tail_shape(protocol, int(m), frame)
-            header_shape(frame, shape.eof_length)
-        except Exception:  # pragma: no cover - warm-up must stay harmless
-            continue
 
 
 #: Display order of the provenance counters in stats lines.

@@ -17,6 +17,7 @@ The paper evaluates one operating point (Table 1) and one tolerance
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence
 
 from repro.analysis.overhead import (
@@ -31,7 +32,6 @@ from repro.analysis.rates import incidents_per_hour
 from repro.analysis.verification import header_sites, verify_consistency
 from repro.errors import AnalysisError
 from repro.parallel.pool import run_tasks
-from repro.parallel.tasks import AblationRowTask
 from repro.workload.profiles import PAPER_PROFILE, NetworkProfile
 
 
@@ -211,7 +211,8 @@ def m_ablation(
     serially to avoid nested pools).  Row order follows ``m_values``.
     """
     tasks = [
-        AblationRowTask(
+        partial(
+            ablation_row,
             m=m,
             tail_flips=tail_flips,
             check_f1=check_f1,

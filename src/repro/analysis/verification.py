@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.can.fields import (
     ACK_DELIM,
@@ -39,7 +40,6 @@ from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
 from repro.faults.scenarios import make_controller, run_single_frame_scenario
 from repro.parallel.pool import effective_jobs, run_tasks
 from repro.parallel.seeds import adaptive_chunk
-from repro.parallel.tasks import VerificationChunk
 
 #: A fault site: (node name, field label, index within the field).
 Site = Tuple[str, str, int]
@@ -261,25 +261,50 @@ def verify_consistency(
                 if stop_at_first:
                     return result
         return result
-    tasks = (
-        VerificationChunk(
-            protocol=protocol,
-            m=m,
-            node_names=tuple(node_names),
-            combos=tuple(chunk),
-            payload=payload,
-            backend=backend,
-        )
-        for chunk in _chunked(combos, chunk_placements)
-    )
+    chunks = [tuple(chunk) for chunk in _chunked(combos, chunk_placements)]
+    tasks = [
+        partial(verify_chunk, protocol, m, tuple(node_names), chunk, payload, backend)
+        for chunk in chunks
+    ]
     parts = run_tasks(tasks, jobs)
-    for part in parts:
-        result.runs += part.runs
-        result.counterexamples.extend(Counterexample(*hit) for hit in part.hits)
+    result.runs = sum(len(chunk) for chunk in chunks)
+    for hits, _ in parts:
+        result.counterexamples.extend(Counterexample(*hit) for hit in hits)
     from repro.analysis.batchreplay import merge_stats
 
-    result.backend_stats = merge_stats(part.stats for part in parts) or None
+    result.backend_stats = merge_stats(stats for _, stats in parts) or None
     return result
+
+
+def verify_chunk(
+    protocol: str,
+    m: int,
+    node_names: Tuple[str, ...],
+    combos: Tuple[Tuple[Site, ...], ...],
+    payload: bytes,
+    backend: str = "engine",
+) -> Tuple[List[Tuple], Dict[str, int]]:
+    """Classify one chunk of flip placements (experiment E-VER).
+
+    Returns the chunk's counterexample tuples (see
+    :func:`classify_placement`) in placement order, and the batch
+    backend's provenance counters (empty on the engine backend).
+    """
+    if backend == "batch":
+        from repro.analysis.batchreplay import BatchReplayEvaluator
+
+        evaluator = BatchReplayEvaluator(protocol, m, node_names, payload=payload)
+        outcomes = evaluator.evaluate(combos)
+        hits = [
+            evaluator.counterexample(combo, outcome)
+            for combo, outcome in zip(combos, outcomes)
+        ]
+        return [hit for hit in hits if hit is not None], dict(evaluator.stats)
+    hits = [
+        classify_placement(protocol, m, node_names, combo, payload)
+        for combo in combos
+    ]
+    return [hit for hit in hits if hit is not None], {}
 
 
 def _chunked(combos: Iterator, size: int) -> Iterator[List]:
@@ -299,9 +324,9 @@ def classify_placement(
 ) -> Optional[Tuple]:
     """Simulate one flip placement; return Counterexample args or None.
 
-    Returns plain picklable data (not a :class:`Counterexample`) so the
-    worker side of :class:`repro.parallel.tasks.VerificationChunk` can
-    ship results across the process boundary cheaply.
+    Returns plain picklable data (not a :class:`Counterexample`) so
+    :func:`verify_chunk` can ship results across the process boundary
+    cheaply.
     """
     nodes = [make_controller(protocol, name, m=m) for name in node_names]
     faults = [

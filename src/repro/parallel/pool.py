@@ -1,29 +1,26 @@
-"""The worker pool: fan picklable tasks out over processes.
+"""The worker pool: map picklable zero-argument calls over processes.
 
-``run_tasks`` is the single entry point the analysis layer uses.  Its
-contract:
+A task is any picklable callable taking no arguments — in practice a
+``functools.partial`` of a module-level domain function.  Its contract:
 
-* ``jobs=1`` executes tasks inline in submission order — byte-for-byte
-  the serial behaviour, with no ``multiprocessing`` machinery touched;
-* ``jobs>1`` maps the same tasks over a process pool, *preserving
-  submission order* in the returned results, so merging partial results
-  is identical either way;
-* if a pool cannot be created (sandboxes without semaphore support,
-  restricted platforms), it silently falls back to the serial path —
-  the results are the same, only slower.
+* ``jobs=1`` calls inline in submission order, with no process
+  machinery touched;
+* ``jobs>1`` submits the same calls to one cached
+  ``ProcessPoolExecutor`` and yields results *in submission order*, so
+  merging partial results is identical either way;
+* if no executor can be created (sandboxes without semaphore support,
+  restricted platforms), it falls back to the serial path — the same
+  results, only slower;
+* a worker that dies mid-task (SIGKILL, the OOM killer) breaks the
+  executor, which surfaces at once as a :class:`ReproError` instead of
+  a hang.
 
 ``jobs=None``/``0`` resolves through ``REPRO_JOBS`` (then 1) and a
-negative ``jobs`` means "all visible CPUs".
-
-The pool itself is created lazily and *reused* across ``run_tasks``
-calls: CLI subcommands and sweeps that fan out repeatedly (ablation
-rows, chunked verification, Monte-Carlo batches) pay the process
-start-up and import cost once instead of per call.  The cached pool is
-replaced when a different worker count is requested, recycled by
-``maxtasksperchild`` to bound worker memory growth, discarded on any
-failure mid-map, and torn down at interpreter exit.  None of this
-changes results: tasks are deterministic functions of their own fields,
-so which process runs them — fresh or reused — is unobservable.
+negative ``jobs`` means "all visible CPUs".  The executor is rebuilt
+only when the worker count changes, dropped after any failure or an
+abandoned stream, and shut down at interpreter exit.  Calls are
+deterministic functions of their arguments, so which worker runs them
+is unobservable.
 """
 
 from __future__ import annotations
@@ -31,21 +28,14 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-from typing import Iterable, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional
 
-from repro.parallel.tasks import execute
+from repro.errors import ReproError
 
-#: Tasks a worker processes before it is replaced.  High enough that
-#: recycling never dominates, low enough to bound the memory of
-#: long-lived workers accumulating per-task allocations.
-MAXTASKSPERCHILD = 512
-
-_POOL = None
-_POOL_WORKERS = 0
-#: Context the live pool's workers were initialised with.
-_POOL_CONTEXT: tuple = ()
-#: Context requested for the next pool (see :func:`set_worker_context`).
-_CONTEXT: tuple = ()
+#: The shared ``ProcessPoolExecutor`` (``concurrent.futures`` is imported
+#: only when one is built, which keeps serial runs' start-up lean).
+_EXECUTOR = None
+_EXECUTOR_WORKERS = 0
 
 
 def cpu_count() -> int:
@@ -64,197 +54,75 @@ def effective_jobs(jobs: Optional[int] = None) -> int:
     """
     if jobs is None or jobs == 0:
         env = os.environ.get("REPRO_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                jobs = 1
-        else:
+        try:
+            jobs = int(env) if env else 1
+        except ValueError:
             jobs = 1
     if jobs < 0:
         jobs = cpu_count()
     return max(1, jobs)
 
 
-def set_worker_context(entries) -> None:
-    """Declare what new pool workers should pre-warm at fork time.
-
-    ``entries`` is a sequence of ``(module, function, args)`` triples —
-    all picklable — that each new worker applies once in its
-    initializer, after the default :func:`warm_shapes` pass.  This is
-    the shared-memory half of task batching: a sweep broadcasts its
-    warmed site universes and frame tables to every worker *once per
-    fork* through the pool's ``initargs`` instead of pickling them into
-    every task.  Changing the context replaces the pool on the next
-    ``run_tasks``/``imap_tasks`` call; an equal context reuses it, so
-    repeated sweeps over the same universe keep their warm workers.
-    """
-    global _CONTEXT
-    normalised = []
-    for entry in entries:
-        module, function, args = entry
-        if not isinstance(module, str) or not isinstance(function, str):
-            raise ValueError(
-                "worker context entries are (module, function, args) "
-                "triples, got %r" % (entry,)
-            )
-        normalised.append((module, function, tuple(args)))
-    _CONTEXT = tuple(normalised)
-
-
-def worker_context() -> tuple:
-    """The context new pool workers will be initialised with."""
-    return _CONTEXT
-
-
-def _warm_worker(context: tuple = ()) -> None:
-    """Worker initializer: pre-expand the shared campaign shapes.
-
-    Populates the ``wire_program``/``tail_shape``/``header_shape``
-    caches for the default campaign frame once per worker process, then
-    applies the broadcast worker context (warmed sweep universes, frame
-    tables), so every chunk the worker later receives starts from warm
-    caches instead of re-expanding per chunk (shared-memory task
-    batching: the expanded context is installed at fork time, not
-    shipped with each task).  Purely an optimisation — tasks rebuild
-    anything missing on demand — so failures are swallowed.
-    """
+def _get_executor(workers: int):
+    """The shared executor for ``workers``, or ``None`` if none can exist."""
+    global _EXECUTOR, _EXECUTOR_WORKERS
+    if _EXECUTOR is not None and _EXECUTOR_WORKERS == workers:
+        return _EXECUTOR
+    shutdown_pool()
     try:
-        from repro.analysis.batchreplay import warm_shapes
+        from concurrent.futures import ProcessPoolExecutor
 
-        warm_shapes()
-    except Exception:  # pragma: no cover - warm-up must never kill a worker
-        pass
-    for module_name, function_name, args in context:
-        try:
-            module = __import__(module_name, fromlist=[function_name])
-            getattr(module, function_name)(*args)
-        except Exception:  # pragma: no cover - warm-up must never kill a worker
-            continue
-
-
-def _get_pool(workers: int):
-    """Return the shared pool for ``workers``, creating or resizing it.
-
-    The cached pool is reused only when both the worker count and the
-    worker context match what it was built with.  Returns ``None`` when
-    no pool can be created on this platform.
-    """
-    global _POOL, _POOL_WORKERS, _POOL_CONTEXT
-    if _POOL is not None and _POOL_WORKERS == workers and _POOL_CONTEXT == _CONTEXT:
-        return _POOL
-    if _POOL is not None:
-        shutdown_pool()
-    try:
-        context = multiprocessing.get_context()
-        _POOL = context.Pool(
-            processes=workers,
-            initializer=_warm_worker,
-            initargs=(_CONTEXT,),
-            maxtasksperchild=MAXTASKSPERCHILD,
+        _EXECUTOR = ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context()
         )
-        _POOL_WORKERS = workers
-        _POOL_CONTEXT = _CONTEXT
+        _EXECUTOR_WORKERS = workers
     except (ImportError, OSError, PermissionError, ValueError):
-        _POOL = None
-        _POOL_WORKERS = 0
-        _POOL_CONTEXT = ()
-    return _POOL
-
-
-def _discard_pool() -> None:
-    """Drop a pool whose state is suspect (an exception escaped a map)."""
-    global _POOL, _POOL_WORKERS, _POOL_CONTEXT
-    if _POOL is not None:
-        try:
-            _POOL.terminate()
-            _POOL.join()
-        except Exception:
-            pass
-    _POOL = None
-    _POOL_WORKERS = 0
-    _POOL_CONTEXT = ()
+        _EXECUTOR = None
+    return _EXECUTOR
 
 
 def shutdown_pool() -> None:
-    """Tear down the shared pool (idempotent; also runs at exit)."""
-    global _POOL, _POOL_WORKERS, _POOL_CONTEXT
-    if _POOL is not None:
-        try:
-            _POOL.close()
-            _POOL.join()
-        except Exception:
-            _discard_pool()
-            return
-    _POOL = None
-    _POOL_WORKERS = 0
-    _POOL_CONTEXT = ()
+    """Drop the shared executor, cancelling queued calls (idempotent)."""
+    global _EXECUTOR, _EXECUTOR_WORKERS
+    executor, _EXECUTOR, _EXECUTOR_WORKERS = _EXECUTOR, None, 0
+    if executor is not None:
+        executor.shutdown(wait=True, cancel_futures=True)
 
 
 atexit.register(shutdown_pool)
 
 
-def run_tasks(tasks: Iterable, jobs: Optional[int] = None, chunksize: int = 1) -> List:
-    """Execute ``tasks`` and return their results in submission order.
+def imap_tasks(calls: Iterable[Callable], jobs: Optional[int] = None) -> Iterator:
+    """Yield each call's result, in submission order.
 
-    ``tasks`` may be any iterable of objects with a ``run()`` method
-    (see :mod:`repro.parallel.tasks`); generators are consumed lazily
-    on the parallel path via ``imap``.
+    Drivers that persist partial results as they arrive (the sweep
+    engine appends each chunk to its store the moment it completes)
+    consume this stream directly; :func:`run_tasks` collects it.
     """
     workers = effective_jobs(jobs)
-    if workers == 1:
-        return [execute(task) for task in tasks]
-    task_list = tasks if isinstance(tasks, (list, tuple)) else None
-    pool = _get_pool(workers)
-    if pool is None:
-        # No process support here (e.g. sandboxed semaphores): degrade
-        # gracefully — same results, serial execution.
-        return [execute(task) for task in (task_list if task_list is not None else tasks)]
-    source = task_list if task_list is not None else tasks
+    if workers > 1:
+        calls = list(calls)
+    executor = _get_executor(workers) if workers > 1 and calls else None
+    if executor is None:
+        for call in calls:
+            yield call()
+        return
     try:
-        return list(pool.imap(execute, source, chunksize))
-    except BaseException:
-        # A worker died or a task raised: the pool may hold queued
-        # work, so never hand it to the next caller.
-        _discard_pool()
+        futures = [executor.submit(call) for call in calls]
+        for future in futures:
+            yield future.result()
+    except BaseException as exc:
+        # A call raised, a worker died or the consumer abandoned the
+        # stream: queued calls may still be in flight, so never hand
+        # the executor on.
+        shutdown_pool()
+        from concurrent.futures.process import BrokenProcessPool
+
+        if isinstance(exc, BrokenProcessPool):
+            raise ReproError("a worker process died: %s" % exc) from exc
         raise
 
 
-def imap_tasks(tasks: Iterable, jobs: Optional[int] = None, chunksize: int = 1):
-    """Yield task results one by one, in submission order.
-
-    The streaming twin of :func:`run_tasks`, for drivers that persist
-    partial results as they arrive (the sweep engine appends each chunk
-    to its store the moment it completes, so an interrupted run keeps
-    everything finished so far).  Same contract otherwise: ``jobs=1``
-    executes inline, the pool path preserves submission order, and pool
-    failure degrades to the serial path.
-    """
-    workers = effective_jobs(jobs)
-    if workers == 1:
-        for task in tasks:
-            yield execute(task)
-        return
-    source = tasks if isinstance(tasks, (list, tuple)) else list(tasks)
-    pool = _get_pool(workers)
-    if pool is None:
-        for task in source:
-            yield execute(task)
-        return
-    iterator = pool.imap(execute, source, chunksize)
-    while True:
-        try:
-            result = next(iterator)
-        except StopIteration:
-            return
-        except BaseException:
-            _discard_pool()
-            raise
-        try:
-            yield result
-        except BaseException:
-            # The consumer abandoned the stream (GeneratorExit) or threw
-            # into it: queued chunks may still be in flight, so the pool
-            # is not safe to hand to the next caller.
-            _discard_pool()
-            raise
+def run_tasks(calls: Iterable[Callable], jobs: Optional[int] = None) -> List:
+    """Call every entry of ``calls``; return the results in order."""
+    return list(imap_tasks(calls, jobs))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import AnalysisError, ConfigurationError
 from repro.metrics.export import json_line
@@ -245,6 +245,23 @@ def cell_record(
     }
 
 
+def cell_records(
+    cells: Sequence[SweepCell],
+    *,
+    window: int,
+    max_flips: int,
+    load: float,
+    backend: str = "batch",
+) -> List[Dict[str, Any]]:
+    """Evaluate one chunk of cells; one complete store record each."""
+    return [
+        cell_record(
+            cell, window=window, max_flips=max_flips, load=load, backend=backend
+        )
+        for cell in cells
+    ]
+
+
 def stats_of(record: Dict[str, Any]) -> Optional[Dict[str, int]]:
     """The backend provenance counters of one store record, if any."""
     result = record.get("result") or {}
@@ -393,3 +410,28 @@ def traffic_cell_record(
             backend=backend,
         ),
     }
+
+
+def traffic_cell_records(
+    cells: Sequence["TrafficCell"],
+    *,
+    windows: int,
+    window_bits: int,
+    seed: int,
+    backend: str = "batch",
+) -> List[Dict[str, Any]]:
+    """Evaluate one chunk of traffic cells; one store record each.
+
+    Each cell runs its steady-state spec serially (``jobs=1``): the
+    fan-out unit is the cell, not the window.
+    """
+    return [
+        traffic_cell_record(
+            cell,
+            windows=windows,
+            window_bits=window_bits,
+            seed=seed,
+            backend=backend,
+        )
+        for cell in cells
+    ]

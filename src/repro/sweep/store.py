@@ -10,14 +10,17 @@ Every line is emitted with :func:`repro.metrics.export.json_line`
 (sorted keys, minimal separators), records compact *sorted by key*, and
 duplicate keys collapse to one record — so the compacted store is a
 pure function of the set of evaluated cells.  Interrupted runs leave a
-valid log (records are flushed line by line); resuming appends only the
-missing keys; and a ``--jobs N`` run compacts to the exact bytes of a
-``--jobs 1`` run, which CI enforces with ``tools/sweep_resume_check.py``.
+valid log (records are flushed line by line; a run killed mid-write may
+leave a torn final line, which readers drop and the next append
+truncates); resuming appends only the missing keys; and a ``--jobs N``
+run compacts to the exact bytes of a ``--jobs 1`` run, which CI
+enforces with ``tools/sweep_resume_check.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -84,6 +87,20 @@ class ResultStore:
             return []
         return read_jsonl(path)
 
+    def _read_log(self) -> List[Dict[str, Any]]:
+        """The log's records up to its last complete line.
+
+        Every record is one ``write`` ending in a newline, so a final
+        line without one is a write torn by a killed run: it is
+        dropped here (and truncated by the next :meth:`append`).  A bad
+        line anywhere else still fails ``read_jsonl`` loudly.
+        """
+        if not os.path.exists(self.log_path):
+            return []
+        with open(self.log_path, encoding="utf-8") as handle:
+            body = handle.read()
+        return read_jsonl(io.StringIO(body[: body.rfind("\n") + 1]))
+
     def records(self) -> Dict[str, Dict[str, Any]]:
         """All stored records by key (compacted store first, then log).
 
@@ -91,7 +108,7 @@ class ResultStore:
         to equal payloads; the first occurrence wins.
         """
         merged: Dict[str, Dict[str, Any]] = {}
-        for record in self._read(self.compacted_path) + self._read(self.log_path):
+        for record in self._read(self.compacted_path) + self._read_log():
             key = record.get("key")
             if not isinstance(key, str) or not key:
                 raise ReproError(
@@ -113,11 +130,12 @@ class ResultStore:
 
         The flush-per-record discipline is what makes interruption
         safe: a killed run leaves every completed cell on disk as a
-        complete JSON line (a torn final line would fail ``read_jsonl``
-        loudly rather than corrupt silently).
+        complete JSON line, plus at most one torn final line, which is
+        truncated here before anything is appended after it.
         """
+        self._truncate_torn_line()
         count = 0
-        with open(self.log_path, "a") as handle:
+        with open(self.log_path, "a", encoding="utf-8") as handle:
             for record in records:
                 if not record.get("key"):
                     raise ReproError("refusing to append a record without a key")
@@ -125,6 +143,20 @@ class ResultStore:
                 handle.flush()
                 count += 1
         return count
+
+    def _truncate_torn_line(self) -> None:
+        """Cut the log back to its last newline, if it does not end in one."""
+        if not os.path.exists(self.log_path):
+            return
+        with open(self.log_path, "rb+") as handle:
+            size = handle.seek(0, os.SEEK_END)
+            if size == 0:
+                return
+            handle.seek(size - 1)
+            if handle.read(1) == b"\n":
+                return
+            handle.seek(0)
+            handle.truncate(handle.read().rfind(b"\n") + 1)
 
     def compact(self) -> StoreStatus:
         """Fold the log into the sorted, deduplicated compacted store.
@@ -171,7 +203,7 @@ class ResultStore:
             return handle.read()
 
     def status(self) -> StoreStatus:
-        log = self._read(self.log_path)
+        log = self._read_log()
         compacted = self._read(self.compacted_path)
         body = self.compacted_bytes()
         return StoreStatus(

@@ -12,7 +12,6 @@ from repro.traffic.batch import (
     clear_window_cache,
     run_window_batch,
     run_window_noisy,
-    warm_traffic,
     window_backend,
     window_cache_stats,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "traffic_records",
     "traffic_seed_tree",
     "traffic_verdict_record",
-    "warm_traffic",
     "window_backend",
     "window_cache_stats",
 ]

@@ -572,16 +572,65 @@ class TestStatsHelpers:
         notice = engine_share_notice({"batch": 80, "engine": 20})
         assert notice is not None and "20%" in notice
 
-    def test_warm_shapes_populates_caches(self):
-        from repro.analysis.batchreplay import warm_shapes
-        from repro.can.encoding import header_shape
 
-        warm_shapes()
-        frame = data_frame(0x123, b"\x55", message_id="m")
-        assert tail_shape.cache_info().currsize >= 7
-        assert header_shape.cache_info().currsize >= 1
-        # The warmed entries cover the sweep protocols for this frame.
-        assert tail_shape("majorcan", 3, frame).supported
+class TestCacheBounds:
+    """Every module-level verdict cache clears wholesale at the limit."""
+
+    LIMIT = 4
+
+    def _header_verdicts(self):
+        node_names = ("tx", "r1", "r2")
+        sites = list(header_sites(node_names, data_bits=0))
+        combos = [(site,) for site in sites] + list(
+            itertools.combinations(sites[::3], 2)
+        )
+        batchreplay.clear_caches()
+        evaluator = BatchReplayEvaluator(
+            "majorcan", 5, node_names, frame=data_frame(0x123, b"", message_id="m")
+        )
+        return [
+            (outcome.deliveries, outcome.attempts)
+            for outcome in evaluator.evaluate(combos)
+        ]
+
+    def test_header_and_reduced_caches_stay_bounded(self, monkeypatch):
+        unbounded = self._header_verdicts()
+        assert len(batchreplay._HEADER_CLASS_CACHE) > self.LIMIT
+        assert len(batchreplay._REDUCED_CACHE) > self.LIMIT
+        assert len(batchreplay._COMBO_CACHE) > self.LIMIT
+        monkeypatch.setattr(batchreplay, "_COMBO_CACHE_LIMIT", self.LIMIT)
+        bounded = self._header_verdicts()
+        assert bounded == unbounded
+        for cache in (
+            batchreplay._HEADER_CLASS_CACHE,
+            batchreplay._REDUCED_CACHE,
+            batchreplay._COMBO_CACHE,
+        ):
+            assert 0 < len(cache) <= self.LIMIT
+        batchreplay.clear_caches()
+
+    def test_round_reference_cache_stays_bounded(self, monkeypatch):
+        from repro.faults import campaigns
+
+        spec = campaigns.CampaignSpec(
+            protocol="majorcan",
+            n_nodes=6,
+            rounds=24,
+            attack_probability=0.6,
+            noise_ber_star=1e-4,
+            seed=4,
+        )
+        campaigns._ROUND_REFERENCE.clear()
+        unbounded = campaigns.run_campaign(spec, backend="batch")
+        assert len(campaigns._ROUND_REFERENCE) > 2
+        monkeypatch.setattr(batchreplay, "_COMBO_CACHE_LIMIT", 2)
+        campaigns._ROUND_REFERENCE.clear()
+        bounded = campaigns.run_campaign(spec, backend="batch")
+        assert 0 < len(campaigns._ROUND_REFERENCE) <= 2
+        assert bounded.as_row() == unbounded.as_row()
+        assert bounded.omission_rounds == unbounded.omission_rounds
+        assert bounded.as_row() == campaigns.run_campaign(spec).as_row()
+        campaigns._ROUND_REFERENCE.clear()
 
 
 def _strip_stats(output):

@@ -7,10 +7,17 @@ path: ``record_bits=False`` runs reach the same scenario outcomes as
 ``record_bits=True``.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import monte_carlo_full, monte_carlo_tail
+from repro.analysis.montecarlo import monte_carlo_full, monte_carlo_tail, tail_chunk
 from repro.analysis.reliability import reliability_comparison, reliability_sweep
 from repro.analysis.sweeps import m_ablation
 from repro.analysis.verification import verify_consistency
@@ -21,9 +28,14 @@ from repro.faults.scenarios import fig1b, fig3, make_controller, run_single_fram
 from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
 from repro.can.fields import EOF
 import repro.parallel.pool as pool_module
-from repro.parallel.pool import cpu_count, effective_jobs, run_tasks, shutdown_pool
+from repro.parallel.pool import (
+    cpu_count,
+    effective_jobs,
+    imap_tasks,
+    run_tasks,
+    shutdown_pool,
+)
 from repro.parallel.seeds import adaptive_chunk, chunk_sizes, rng_from, spawn_seeds
-from repro.parallel.tasks import MonteCarloTailChunk
 from repro.simulation.engine import SimulationEngine
 
 
@@ -70,7 +82,8 @@ class TestPool:
 
     def test_run_tasks_preserves_order(self):
         tasks = [
-            MonteCarloTailChunk(
+            partial(
+                tail_chunk,
                 protocol="can",
                 m=5,
                 node_names=("tx", "r1", "r2"),
@@ -86,20 +99,32 @@ class TestPool:
         assert [part.trials for part in serial] == [1, 2, 3, 4]
         assert [part.trials for part in parallel] == [1, 2, 3, 4]
 
+    def test_imap_tasks_calls_lazily_inline(self):
+        seen = []
 
-class _BoomTask:
-    """Picklable task that fails inside the worker."""
+        def calls():
+            for value in range(3):
+                seen.append(value)
+                yield partial(pow, 2, value)
 
-    def run(self):
-        raise RuntimeError("task failure")
+        stream = imap_tasks(calls(), jobs=1)
+        assert next(stream) == 1
+        assert seen == [0]
+        assert list(stream) == [2, 4]
+
+
+def _boom():
+    """Picklable call that fails inside the worker."""
+    raise RuntimeError("task failure")
 
 
 class TestPoolReuse:
-    """The module-level pool is shared across run_tasks calls."""
+    """The module-level executor is shared across run_tasks calls."""
 
     def _tasks(self, count=3, seed=1):
         return [
-            MonteCarloTailChunk(
+            partial(
+                tail_chunk,
                 protocol="can",
                 m=5,
                 node_names=("tx", "r1", "r2"),
@@ -116,57 +141,114 @@ class TestPoolReuse:
         shutdown_pool()
         yield
         shutdown_pool()
-        assert pool_module._POOL is None
-        assert pool_module._POOL_WORKERS == 0
+        assert pool_module._EXECUTOR is None
+        assert pool_module._EXECUTOR_WORKERS == 0
 
     def test_pool_survives_across_calls(self):
         first = run_tasks(self._tasks(seed=1), jobs=2)
-        created = pool_module._POOL
+        created = pool_module._EXECUTOR
         if created is None:
             pytest.skip("platform cannot create process pools")
         second = run_tasks(self._tasks(seed=2), jobs=2)
-        assert pool_module._POOL is created, "pool must be reused, not rebuilt"
+        assert pool_module._EXECUTOR is created, "executor must be reused, not rebuilt"
         assert len(first) == len(second) == 3
 
     def test_pool_recreated_on_worker_count_change(self):
         run_tasks(self._tasks(seed=1), jobs=2)
-        created = pool_module._POOL
+        created = pool_module._EXECUTOR
         if created is None:
             pytest.skip("platform cannot create process pools")
-        assert pool_module._POOL_WORKERS == 2
+        assert pool_module._EXECUTOR_WORKERS == 2
         run_tasks(self._tasks(seed=2), jobs=3)
-        assert pool_module._POOL is not created
-        assert pool_module._POOL_WORKERS == 3
+        assert pool_module._EXECUTOR is not created
+        assert pool_module._EXECUTOR_WORKERS == 3
 
     def test_serial_path_never_builds_a_pool(self):
         run_tasks(self._tasks(), jobs=1)
-        assert pool_module._POOL is None
+        assert pool_module._EXECUTOR is None
+
+    def test_empty_call_list_never_builds_a_pool(self):
+        assert run_tasks([], jobs=2) == []
+        assert list(imap_tasks(iter(()), jobs=2)) == []
+        assert pool_module._EXECUTOR is None
 
     def test_shutdown_pool_is_idempotent(self):
         run_tasks(self._tasks(), jobs=2)
         shutdown_pool()
         shutdown_pool()
-        assert pool_module._POOL is None
+        assert pool_module._EXECUTOR is None
 
     def test_reused_pool_matches_serial_results(self):
         serial = run_tasks(self._tasks(seed=7), jobs=1)
         warm = run_tasks(self._tasks(seed=7), jobs=2)
         again = run_tasks(self._tasks(seed=7), jobs=2)
         for other in (warm, again):
-            assert [part.trials for part in other] == [
-                part.trials for part in serial
-            ]
-            assert [part.flips_total for part in other] == [
-                part.flips_total for part in serial
-            ]
+            assert other == serial
 
     def test_exception_discards_the_pool(self):
         run_tasks(self._tasks(), jobs=2)
-        if pool_module._POOL is None:
+        if pool_module._EXECUTOR is None:
             pytest.skip("platform cannot create process pools")
-        with pytest.raises(RuntimeError):
-            run_tasks([_BoomTask()], jobs=2)
-        assert pool_module._POOL is None
+        with pytest.raises(RuntimeError, match="task failure"):
+            run_tasks([_boom], jobs=2)
+        assert pool_module._EXECUTOR is None
+
+    def test_abandoned_stream_discards_the_pool(self):
+        stream = imap_tasks(self._tasks(), jobs=2)
+        next(stream)
+        if pool_module._EXECUTOR is None:
+            pytest.skip("platform cannot create process pools")
+        stream.close()
+        assert pool_module._EXECUTOR is None
+
+
+#: Run in a fresh interpreter: at a worker SIGKILL a pool that does not
+#: notice the death hangs forever, and there is no per-test timeout.
+_KILLED_WORKER_SCRIPT = textwrap.dedent(
+    """
+    import signal, time
+    from functools import partial
+    from repro.errors import ReproError
+    from repro.parallel import pool
+
+    pool.run_tasks([partial(pow, 2, 1)], jobs=2)
+    if pool._EXECUTOR is None:
+        raise SystemExit("no-executor")
+    start = time.monotonic()
+    try:
+        pool.run_tasks(
+            [partial(pow, 2, 3), partial(signal.raise_signal, signal.SIGKILL)],
+            jobs=2,
+        )
+    except ReproError as exc:
+        print("raised", type(exc.__cause__).__name__)
+    print("seconds", time.monotonic() - start)
+    print("after", pool.run_tasks([partial(pow, 2, k) for k in range(4)], jobs=2))
+    """
+)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs POSIX signals")
+def test_killed_worker_fails_fast_and_the_next_call_succeeds():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH", "")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _KILLED_WORKER_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    if "no-executor" in done.stderr:
+        pytest.skip("platform cannot create process pools")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "raised BrokenProcessPool"
+    assert float(lines[1].split()[1]) < 10.0
+    assert lines[2] == "after [1, 2, 4, 8]"
 
 
 class TestMonteCarloEquivalence:

@@ -16,7 +16,7 @@ import pytest
 
 import repro
 import repro.sweep
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.metrics.export import read_jsonl
 from repro.sweep import (
     ResultStore,
@@ -248,6 +248,43 @@ class TestResultStore:
         assert index["records"] == 1
         assert index["digest"] == status.digest == store.status().digest
 
+    def test_torn_final_log_line_is_dropped_then_truncated(self, tmp_path):
+        store = ResultStore(str(tmp_path / "s"))
+        store.append([self.record("a", 1)])
+        with open(store.log_path, "a") as handle:
+            handle.write('{"key":"b","cell"')
+        assert store.keys() == {"a"}
+        assert store.status().log_records == 1
+        store.append([self.record("c", 3)])
+        assert store.keys() == {"a", "c"}
+        assert [row["key"] for row in read_jsonl(store.log_path)] == ["a", "c"]
+
+    def test_log_holding_only_a_torn_line_reads_empty(self, tmp_path):
+        store = ResultStore(str(tmp_path / "s"))
+        with open(store.log_path, "w") as handle:
+            handle.write('{"key":')
+        assert store.keys() == set()
+        store.append([self.record("a", 1)])
+        assert store.keys() == {"a"}
+
+    def test_bad_log_line_before_the_last_is_an_error(self, tmp_path):
+        store = ResultStore(str(tmp_path / "s"))
+        store.append([self.record("a", 1)])
+        with open(store.log_path, "a") as handle:
+            handle.write('{"key":"b","cell"\n')
+        store.append([self.record("c", 3)])
+        with pytest.raises(ReproError, match="invalid JSONL"):
+            store.records()
+
+    def test_compacted_store_stays_strict(self, tmp_path):
+        store = ResultStore(str(tmp_path / "s"))
+        store.append([self.record("a", 1)])
+        store.compact()
+        with open(store.compacted_path, "a") as handle:
+            handle.write('{"key":"b","cell"')
+        with pytest.raises(ReproError, match="invalid JSONL"):
+            store.records()
+
 
 class TestRunSweep:
     def test_rerun_evaluates_nothing(self, tmp_path):
@@ -275,6 +312,20 @@ class TestRunSweep:
         assert rest.complete
         assert resumed.compacted_bytes() == fresh.compacted_bytes()
         assert resumed.compacted_bytes()  # non-empty
+
+    def test_resume_after_torn_log_line_is_byte_identical(self, tmp_path):
+        spec = small_spec()
+        fresh = ResultStore(str(tmp_path / "fresh"))
+        run_sweep(spec, fresh, jobs=1)
+        lines = fresh.compacted_bytes().decode().splitlines(keepends=True)
+        # A run killed mid-append: two whole records, then a torn third.
+        killed = ResultStore(str(tmp_path / "killed"))
+        with open(killed.log_path, "w") as handle:
+            handle.write(lines[0] + lines[1] + lines[2][: len(lines[2]) // 2])
+        resumed = run_sweep(spec, killed, jobs=2)
+        assert resumed.skipped == 2
+        assert resumed.evaluated == spec.cell_count() - 2
+        assert killed.compacted_bytes() == fresh.compacted_bytes()
 
     def test_zero_budget_defers_everything(self, tmp_path):
         spec = small_spec()
