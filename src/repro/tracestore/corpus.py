@@ -215,6 +215,41 @@ def _traffic_spec(name: str):
             noise_ber=0.001,
             noise_nodes=("n1",),
         ),
+        # The total-order HLP under random per-bit noise on one
+        # receiver's view: TOTCAN's vector-clock ledger across error
+        # frames and retransmissions on MajorCAN_5.
+        "traffic-noisy-totcan": TrafficSpec(
+            name="traffic-noisy-totcan",
+            protocol="majorcan",
+            m=5,
+            hlp="totcan",
+            n_nodes=3,
+            windows=2,
+            window_bits=1000,
+            load=0.4,
+            seed=19,
+            noise_ber=0.002,
+            noise_nodes=("n1",),
+        ),
+        # Bus-off and recovery driven by noise alone: a 3 % BER on the
+        # transmitter's own view ramps its TEC into bus-off and back
+        # through ISO 11898 recovery in both windows.  On the batch
+        # backend window 0 faults before its first frame (engine) and
+        # window 1 resumes the engine from a committed clean prefix, so
+        # the resumed suffix carries a bus-off and its recovery.
+        "traffic-noisy-busoff-majorcan": TrafficSpec(
+            name="traffic-noisy-busoff-majorcan",
+            protocol="majorcan",
+            m=5,
+            n_nodes=3,
+            windows=2,
+            window_bits=4000,
+            load=0.3,
+            seed=1,
+            noise_ber=0.03,
+            noise_nodes=("n0",),
+            bus_off_recovery=True,
+        ),
         # A deterministic burst under the RELCAN relay HLP: the burst
         # forces error signalling mid-window, exercising the relay
         # retransmission ledger across the splice.
@@ -241,7 +276,9 @@ GOLDEN_TRAFFIC_ENTRIES = (
     "traffic-contended-majorcan",
     "traffic-hlp-edcan",
     "traffic-hlp-totcan-contended",
+    "traffic-noisy-busoff-majorcan",
     "traffic-noisy-hlp-edcan",
+    "traffic-noisy-totcan",
 )
 
 

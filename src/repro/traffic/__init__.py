@@ -10,8 +10,6 @@ the tracestore replays and diffs like the golden corpus.
 
 from repro.traffic.batch import (
     clear_window_cache,
-    run_window_batch,
-    run_window_noisy,
     window_backend,
     window_cache_stats,
 )
@@ -62,8 +60,6 @@ __all__ = [
     "recorded_traffic",
     "run_traffic",
     "run_window",
-    "run_window_batch",
-    "run_window_noisy",
     "splice_windows",
     "submission_record",
     "traffic_records",

@@ -1,4 +1,4 @@
-"""Frame-granular batch evaluation of clean traffic windows.
+"""The clean prefix of a traffic window, planned and rendered per frame.
 
 A window free of noise, bursts and higher-level protocols is fully
 determined by its submission schedule: identifiers are fixed per node,
@@ -6,13 +6,20 @@ so arbitration under contention resolves deterministically (lowest
 identifier = lowest node index wins), every frame is acknowledged, no
 error flag ever fires, and the bus trace is the concatenation of the
 winners' cached :class:`repro.can.encoding.BusImage` wire images with
-recessive gaps in between.  :func:`run_window_batch` therefore replays
-the whole window with a priority-queue scheduler at bus-idle instants
-instead of stepping :class:`repro.simulation.engine.SimulationEngine`
-bit by bit, and reproduces the engine's observable surface *exactly* —
-bus string, per-node deliveries, event stream (times, payloads and
-merge order), backlog samples, busy-bit count and the drain-parity
-``SimulationError``.
+recessive gaps in between.  :func:`_plan_frames` lays the frames on
+that clean timeline by scanning the per-node queue heads at each
+bus-idle instant, and :func:`_render_frames` turns any planned prefix
+into the engine's observable surface *exactly* — bus string, per-node
+deliveries, event stream (times, payloads and merge order) and backlog
+samples — without stepping
+:class:`repro.simulation.engine.SimulationEngine` bit by bit.
+
+:func:`render_prefix` is the batch half of
+:func:`repro.traffic.run.run_window`.  It plans a window once.  When
+no noise flip or burst lands on the clean timeline, the rendered
+timeline is the whole window.  Otherwise it renders only the frames
+that provably finish before the first fault and hands the rest to the
+engine, which resumes from the cut.
 
 Timing model (verified against the engine's step order — drive, bus
 resolve, ``on_bit``, tick hooks, ``time += 1``):
@@ -33,14 +40,14 @@ resolve, ``on_bit``, tick hooks, ``time += 1``):
 - the drained window ends after twelve quiet bits:
   ``total = max(window_bits, t_last_end + 3) + 12``.
 
-Window outcomes are memoised in a process-wide content-addressed cache
-keyed like :func:`repro.sweep.cell.cell_key` — protocol, ``m``, the
-config knobs and the exact window-local schedule — so identical window
-shapes (empty windows, warm re-runs, sweep re-evaluations) collapse to
-cache hits.  Note the honest limit: periodic workloads advance their
-sequence numbers every window, so distinct windows of one run rarely
-collide; the speedup comes from eliminating the engine, the cache from
-eliminating *repeated* evaluation.
+Clean window outcomes are memoised in a process-wide content-addressed
+cache keyed like :func:`repro.sweep.cell.cell_key` — protocol, ``m``,
+the config knobs and the exact window-local schedule — so identical
+window shapes (empty windows, warm re-runs, sweep re-evaluations)
+collapse to cache hits.  Note the honest limit: periodic workloads
+advance their sequence numbers every window, so distinct windows of one
+run rarely collide; the speedup comes from eliminating the engine, the
+cache from eliminating *repeated* evaluation.
 """
 
 from __future__ import annotations
@@ -52,6 +59,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.can.events import Event, EventKind
 from repro.errors import SimulationError
+from repro.traffic.run import (
+    BACKLOG_STRIDE,
+    SETTLE_BITS,
+    WindowPart,
+    controller_config,
+    noise_draw_width,
+)
 from repro.traffic.spec import Submission, TrafficSpec
 
 #: Version of the window-cache key schema.  Bump whenever the batch
@@ -59,15 +73,9 @@ from repro.traffic.spec import Submission, TrafficSpec
 #: window results.
 WINDOW_KEY_VERSION = 1
 
-#: Quiet bits a drained window ends with (``run._SETTLE_BITS``).
-_SETTLE_BITS = 12
-
 #: Bit times between a frame's last EOF bit and the next possible SOF:
 #: three intermission bits consumed, then the first idle drive instant.
 _TURNAROUND = 4
-
-#: Backlog sampling stride; mirrors ``run._BACKLOG_STRIDE``.
-_BACKLOG_STRIDE = 16
 
 #: Process-wide memo of evaluated windows, insertion-ordered for FIFO
 #: eviction.  Values are canonical :class:`WindowResult` objects; hits
@@ -76,18 +84,23 @@ _WINDOW_CACHE: Dict[str, object] = {}
 _WINDOW_CACHE_MAX = 1024
 _CACHE_STATS = {"hits": 0, "misses": 0}
 
+#: Engine hand-off of a faulted window: (carried submissions as (tick
+#: relative to the cut, submission) in (tick, node) order, the cut
+#: tick, per-node carried arbitration attempt counters).
+Handoff = Tuple[List[Tuple[int, Submission]], int, Tuple[int, ...]]
+
 
 def window_backend(spec: TrafficSpec, window: int) -> str:
-    """Which evaluator handles ``window`` of ``spec`` under ``batch``.
+    """How ``window`` of ``spec`` evaluates under ``backend="batch"``.
 
-    ``"batch"`` is the closed-form replay: nothing can perturb the
-    deterministic arbitration timeline.  ``"noise"`` is the vectorised
-    noise dispatch (:func:`run_window_noisy`): random view noise and
-    scheduled bursts are scanned against the clean timeline and only
-    actually-flipped realisations touch the engine, resumed from the
-    fault point.  Only higher-level protocols stay on ``"engine"``
-    outright — HLP timers submit frames mid-run, so the clean timeline
-    the scan needs is not known in advance.
+    ``"batch"``: nothing can perturb the deterministic arbitration
+    timeline, so the rendered prefix is the whole window (memoised).
+    ``"noise"``: random view noise or a scheduled burst may land on the
+    clean timeline; the window is scanned for its first fault and only
+    a faulted window resumes the engine from the cut.  ``"engine"``:
+    higher-level protocols run on the engine outright — HLP timers
+    submit frames mid-run, so the clean timeline is not known in
+    advance.
     """
     if spec.hlp is not None:
         return "engine"
@@ -136,6 +149,28 @@ def window_cache_key(
     return hashlib.sha256(json_line(payload).encode("utf-8")).hexdigest()
 
 
+def cached_window(key: str, window: int):
+    """The memoised result under ``key`` re-stamped as ``window``; None on a miss."""
+    cached = _WINDOW_CACHE.get(key)
+    if cached is None:
+        _CACHE_STATS["misses"] += 1
+        return None
+    _CACHE_STATS["hits"] += 1
+    return replace(
+        cached,
+        window=window,
+        deliveries=dict(cached.deliveries),
+        event_counts=dict(cached.event_counts),
+    )
+
+
+def store_window(key: str, result) -> None:
+    """Memoise a clean window's result, evicting the oldest when full."""
+    if len(_WINDOW_CACHE) >= _WINDOW_CACHE_MAX:
+        _WINDOW_CACHE.pop(next(iter(_WINDOW_CACHE)))
+    _WINDOW_CACHE[key] = result
+
+
 def window_cache_stats() -> Dict[str, int]:
     """Hit/miss/size counters of the process-wide window cache."""
     return {
@@ -152,24 +187,6 @@ def clear_window_cache() -> None:
     _CACHE_STATS["misses"] = 0
 
 
-def _eof_length(spec: TrafficSpec) -> int:
-    from repro.traffic.run import _controller_config
-
-    return _controller_config(spec).eof_length
-
-
-def _submission_frame(spec: TrafficSpec, sub: Submission):
-    """The exact frame the engine path would submit for ``sub``."""
-    from repro.can.frame import data_frame
-
-    return data_frame(
-        sub.identifier,
-        sub.payload,
-        message_id=sub.message_id,
-        origin=spec.node_names[sub.node_index],
-    )
-
-
 def _arbitration_divergence(loser_values, winner_values) -> int:
     """First wire position where the loser's program leaves the bus.
 
@@ -183,22 +200,6 @@ def _arbitration_divergence(loser_values, winner_values) -> int:
         if loser != winner:
             return position
     raise SimulationError("contending frames share an identifier")
-
-
-def _busy_symbols(symbols: str) -> int:
-    """Busy-bit count of a trace string, same idle rule as the engine:
-    dominant bits and the first twelve bits of every recessive run."""
-    busy = 0
-    idle_run = 0
-    for symbol in symbols:
-        if symbol == "d":
-            busy += 1
-            idle_run = 0
-        else:
-            idle_run += 1
-            if idle_run <= _SETTLE_BITS:
-                busy += 1
-    return busy
 
 
 def _max_sampled_backlog(
@@ -251,7 +252,7 @@ def _max_sampled_backlog(
                 total_bits,
             )
             if depth > deepest:
-                first_sample = -(-start // _BACKLOG_STRIDE) * _BACKLOG_STRIDE
+                first_sample = -(-start // BACKLOG_STRIDE) * BACKLOG_STRIDE
                 if first_sample < end:
                     deepest = depth
     return deepest
@@ -278,16 +279,12 @@ def _local_queues(
         [] for _ in range(spec.n_nodes)
     ]
     for sub in submissions:
-        queues[sub.node_index].append(
-            (sub.time - offset, _submission_frame(spec, sub), sub)
-        )
+        queues[sub.node_index].append((sub.time - offset, sub.frame(), sub))
     return queues
 
 
 def _plan_frames(
-    spec: TrafficSpec,
-    queues: List[List[Tuple[int, object, Submission]]],
-    count: int,
+    spec: TrafficSpec, queues: List[List[Tuple[int, object, Submission]]]
 ) -> Tuple[List[_FramePlan], int]:
     """Lay the window's frames on the clean timeline; no rendering.
 
@@ -298,12 +295,12 @@ def _plan_frames(
     """
     from repro.can.encoding import bus_image
 
-    eof_length = _eof_length(spec)
+    eof_length = controller_config(spec).eof_length
     n_nodes = spec.n_nodes
     heads = [0] * n_nodes
     plans: List[_FramePlan] = []
     idle_from = 0
-    remaining = count
+    remaining = sum(len(queue) for queue in queues)
     while remaining:
         a_min = min(
             queues[index][heads[index]][0]
@@ -325,10 +322,10 @@ def _plan_frames(
         remaining -= 1
         idle_from = t_end + _TURNAROUND
     if not plans:
-        total_bits = spec.window_bits + _SETTLE_BITS
+        total_bits = spec.window_bits + SETTLE_BITS
     else:
         total_bits = (
-            max(spec.window_bits, plans[-1].t_end + _TURNAROUND - 1) + _SETTLE_BITS
+            max(spec.window_bits, plans[-1].t_end + _TURNAROUND - 1) + SETTLE_BITS
         )
     if total_bits - spec.window_bits > spec.max_window_bits:
         raise SimulationError(
@@ -341,22 +338,25 @@ def _render_frames(
     spec: TrafficSpec,
     queues: List[List[Tuple[int, object, Submission]]],
     plans: List[_FramePlan],
-):
-    """Engine-exact surface of the planned frames.
+    bits: int,
+) -> Tuple[WindowPart, Handoff]:
+    """Engine-exact surface of the planned frames over ticks ``0..bits-1``.
 
-    Returns ``(node_events, deliveries, completions, segments,
-    attempts)`` for exactly the frames in ``plans`` — the whole window
-    on the clean path, the committed prefix on the noisy resume path.
-    ``attempts`` is the per-node retry counter left standing after the
-    last plan (losers of committed arbitration rounds carry it into
-    the resumed engine so their next TX_START numbers identically).
+    ``plans`` is the whole window on a fault-free timeline (``bits`` its
+    drained length) or the committed frames of a faulted one (``bits``
+    the cut).  Returns the rendered :class:`WindowPart` and the engine
+    hand-off at tick ``bits``: the unplanned submissions re-queued at
+    ``max(0, arrival - bits)`` in a stable (tick, node) order — which
+    preserves each node's queue order, all the per-node controllers can
+    observe — and the retry counters left standing, so losers of
+    committed arbitration rounds number their next TX_START exactly like
+    the engine.
     """
     from repro.can.frame import Frame
     from repro.can.encoding import bus_image
     from repro.can.identifiers import CanId
-    from repro.traffic.run import _controller_config
 
-    config = _controller_config(spec)
+    config = controller_config(spec)
     eof_length = config.eof_length
     names = spec.node_names
     n_nodes = spec.n_nodes
@@ -369,7 +369,7 @@ def _render_frames(
     node_events: List[List[Event]] = [[] for _ in range(n_nodes)]
     deliveries: List[List[Tuple[str, int, int]]] = [[] for _ in range(n_nodes)]
     completions: List[List[int]] = [[] for _ in range(n_nodes)]
-    segments: List[Tuple[int, str]] = []
+    symbols = ["r"] * bits
 
     for plan in plans:
         t0 = plan.t0
@@ -463,367 +463,95 @@ def _render_frames(
         completions[winner].append(t_end)
         heads[winner] += 1
         attempts[winner] = 0
-        segments.append((t0, image.symbols))
+        symbols[t0 : t0 + len(image.symbols)] = image.symbols
 
-    return node_events, deliveries, completions, segments, attempts
-
-
-def _evaluate_window(
-    spec: TrafficSpec, window: int, submissions: Tuple[Submission, ...]
-):
-    """Closed-form replay of one clean window (see the module docs)."""
-    from repro.tracestore.recorder import event_record
-    from repro.traffic.run import WindowResult
-
-    names = spec.node_names
-    n_nodes = spec.n_nodes
-    queues = _local_queues(spec, window, submissions)
-    plans, total_bits = _plan_frames(spec, queues, len(submissions))
-    node_events, deliveries, completions, segments, _ = _render_frames(
-        spec, queues, plans
-    )
-
-    symbols = ["r"] * total_bits
-    for start, frame_symbols in segments:
-        symbols[start : start + len(frame_symbols)] = frame_symbols
-    bus = "".join(symbols)
-
-    merged = list(heapq.merge(*node_events, key=lambda event: event.time))
-    event_counts: Dict[str, int] = {}
-    for event in merged:
-        event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
-    events: Optional[Tuple[dict, ...]] = (
-        tuple(event_record(event) for event in merged)
-        if spec.record_events
-        else None
-    )
-
-    arrivals = [
-        [entry[0] for entry in node_queue] for node_queue in queues
+    # Arrivals at or after ``bits`` belong to the engine's own sampler
+    # (re-submitted at ``max(0, arrival - bits)``); the closed-form walk
+    # must never see ticks beyond its horizon.
+    arrivals = [[entry[0] for entry in queue if entry[0] < bits] for queue in queues]
+    carried = [
+        (max(0, arrival - bits), sub)
+        for index in range(n_nodes)
+        for arrival, _, sub in queues[index][heads[index]:]
     ]
-    return WindowResult(
-        window=window,
-        bits=total_bits,
-        bus=bus,
-        deliveries={
-            names[index]: tuple(deliveries[index]) for index in range(n_nodes)
-        },
-        event_counts=event_counts,
-        events=events,
-        ever_offline=(),
-        offline_at_end=(),
-        max_backlog=_max_sampled_backlog(arrivals, completions, total_bits),
-        busy_bits=_busy_symbols(bus),
-        errors_injected=0,
-        backend="batch",
+    carried.sort(key=lambda item: (item[0], item[1].node_index))
+    part = WindowPart(
+        bits=bits,
+        bus="".join(symbols),
+        events=list(heapq.merge(*node_events, key=lambda event: event.time)),
+        deliveries=deliveries,
+        max_backlog=_max_sampled_backlog(arrivals, completions, bits),
     )
+    return part, (carried, bits, tuple(attempts))
 
 
-def run_window_batch(
-    spec: TrafficSpec, window: int, submissions: Tuple[Submission, ...]
-):
-    """Evaluate one clean window through the memoised batch evaluator.
+def _first_fault(
+    spec: TrafficSpec, window: int, noise_seed, bits: int
+) -> Optional[int]:
+    """First tick of the ``bits``-long clean timeline a fault lands on.
 
-    The caller (``run_window`` with ``backend="batch"``) is responsible
-    for routing only batch-eligible windows here — see
-    :func:`window_backend`.
+    Draws the window's noise mask in the engine's stream order (one
+    uniform per noise-eligible node per tick) and thresholds it against
+    the BER, then lets any earlier scheduled burst win.  The generator
+    is restored afterwards, so the resumed engine's own draws start from
+    the same stream position.
     """
-    key = window_cache_key(spec, window, submissions)
-    cached = _WINDOW_CACHE.get(key)
-    if cached is not None:
-        _CACHE_STATS["hits"] += 1
-        return replace(
-            cached,
-            window=window,
-            deliveries=dict(cached.deliveries),
-            event_counts=dict(cached.event_counts),
-        )
-    _CACHE_STATS["misses"] += 1
-    result = _evaluate_window(spec, window, submissions)
-    if len(_WINDOW_CACHE) >= _WINDOW_CACHE_MAX:
-        _WINDOW_CACHE.pop(next(iter(_WINDOW_CACHE)))
-    _WINDOW_CACHE[key] = result
-    return result
-
-
-def _noise_draw_width(spec: TrafficSpec) -> int:
-    """Uniform draws the noise injector consumes per engine tick.
-
-    ``RandomViewErrorInjector`` draws once per ``perturb_view`` call —
-    one per node per tick in engine node order — except that nodes
-    outside ``only_nodes`` return early *before* the draw.
-    """
-    if spec.noise_ber <= 0.0:
-        return 0
-    if spec.noise_nodes is None:
-        return spec.n_nodes
-    allowed = set(spec.noise_nodes)
-    return sum(1 for name in spec.node_names if name in allowed)
-
-
-def run_window_noisy(
-    spec: TrafficSpec,
-    window: int,
-    submissions: Tuple[Submission, ...],
-    noise_seed,
-):
-    """Vectorised dispatch of one noisy/burst window (ISSUE 10).
-
-    Draws the window's whole noise mask in the engine's stream order
-    (one uniform per noise-eligible node per tick over the fault-free
-    timeline) and thresholds it against the BER.  A zero-fault window
-    *is* the clean window, so it resolves through the memoised batch
-    evaluator with no simulation; a window whose mask fires — or whose
-    scheduled burst lands inside the clean timeline — commits the
-    clean frames that provably finish before the first fault and
-    re-enters the engine from the cut point with the generator
-    advanced to the same stream position, so error cascades and the
-    shifted downstream schedule are exactly the engine's.  Falls back
-    to a plain engine run when nothing can be committed (fault at the
-    window start) or when even the clean timeline overflows the drain
-    budget (only the engine reproduces the exact overflow surface).
-    """
-    from repro.analysis.noisebatch import first_flip, generator_state, restore_state
-    from repro.traffic.run import _run_window_engine
-
-    try:
-        clean = run_window_batch(spec, window, submissions)
-    except SimulationError:
-        return _run_window_engine(spec, window, submissions, noise_seed)
-    draw_width = _noise_draw_width(spec)
-    rng = None
-    fault_tick = None
-    if draw_width:
+    fault = None
+    width = noise_draw_width(spec)
+    if width:
+        from repro.analysis.noisebatch import first_flip, generator_state, restore_state
         from repro.parallel.seeds import rng_from
 
         rng = rng_from(noise_seed)
         state = generator_state(rng)
-        flip = first_flip(rng, clean.bits * draw_width, spec.noise_ber)
+        flip = first_flip(rng, bits * width, spec.noise_ber)
         restore_state(rng, state)
         if flip is not None:
-            fault_tick = flip // draw_width
+            fault = flip // width
     for burst in spec.bursts_for_window(window):
-        if burst.start < clean.bits and (
-            fault_tick is None or burst.start < fault_tick
-        ):
-            fault_tick = burst.start
-    if fault_tick is None:
-        return clean
-    return _resume_window(
-        spec, window, submissions, noise_seed, rng, draw_width, fault_tick
-    )
+        if burst.start < bits and (fault is None or burst.start < fault):
+            fault = burst.start
+    return fault
 
 
-def _resume_window(
+def render_prefix(
     spec: TrafficSpec,
     window: int,
     submissions: Tuple[Submission, ...],
-    noise_seed,
-    rng,
-    draw_width: int,
-    fault_tick: int,
-):
-    """Engine run of a faulted window, resumed from the last safe cut.
+    noise_seed=None,
+) -> Tuple[Optional[WindowPart], Optional[Handoff]]:
+    """Plan ``window`` once and render its clean prefix.
 
-    The clean timeline is committed frame by frame while a frame's
-    whole extent *including its three intermission bits* ends strictly
-    before the first fault tick — so the frame carrying the fault (in
-    body or intermission) is never committed, no frame is mid-flight
-    at the cut, and every committed tick is provably fault-free.  The
-    cut ``s`` is the latest tick with those guarantees: the first
-    fault tick itself, clamped below the next uncommitted frame's SOF.
-    A fresh engine then replays global ticks ``s..`` at local ``0..``
-    with (a) the generator fast-forwarded ``s * draw_width`` draws, (b)
-    uncommitted submissions re-queued at ``max(0, arrival - s)``, (c)
-    carried arbitration attempt counters restored, and (d) bursts
-    shifted by ``s``; the surfaces are spliced (prefix events strictly
-    precede tick ``s``, so concatenation is the engine's heap merge).
+    Returns ``(prefix, None)`` when no fault lands on the clean
+    timeline — the prefix is then the whole window — and ``(prefix,
+    handoff)`` when one does: the frames whose whole extent *including
+    their three intermission bits* ends strictly before the first fault
+    tick are committed, so the frame carrying the fault (in body or
+    intermission) is never committed, no frame is mid-flight at the cut
+    and every committed tick is provably fault-free.  The cut is the
+    latest tick with those guarantees: the first fault tick itself,
+    clamped below the next uncommitted frame's SOF.  Returns ``(None,
+    None)`` when nothing commits (a cut at tick 0) or the clean timeline
+    overflows the drain budget (only the engine reproduces the exact
+    overflow surface): the whole window then belongs to the engine.
     """
-    from repro.analysis.noisebatch import advance
-    from repro.can.events import EventKind
-    from repro.faults.scenarios import make_controller
-    from repro.simulation.engine import SimulationEngine
-    from repro.tracestore.recorder import event_record
-    from repro.traffic.run import (
-        WindowResult,
-        _controller_config,
-        _decode_wire_key,
-        _run_window_engine,
-    )
-
     queues = _local_queues(spec, window, submissions)
-    plans, _ = _plan_frames(spec, queues, len(submissions))
-    committed: List[_FramePlan] = []
-    for plan in plans:
-        if plan.t_end + _TURNAROUND - 1 < fault_tick:
-            committed.append(plan)
-        else:
-            break
-    if len(committed) < len(plans):
-        cut = min(fault_tick, plans[len(committed)].t0 - 1)
-    else:
-        cut = fault_tick
-    if cut <= 0:
-        # Nothing commits: the resume would be a full engine run, so
-        # run (and account) it as one.
-        return _run_window_engine(spec, window, submissions, noise_seed)
-
-    names = spec.node_names
-    n_nodes = spec.n_nodes
-    node_events, deliveries, completions, segments, attempts_carry = _render_frames(
-        spec, queues, committed
-    )
-    heads = [0] * n_nodes
-    for plan in committed:
-        heads[plan.winner] += 1
-
-    # Uncommitted submissions re-enter the resumed engine at shifted
-    # times; a stable (time, node) sort preserves each node's queue
-    # order, which is all the per-node controllers can observe.
-    carried: List[Tuple[int, int, object]] = []
-    for index in range(n_nodes):
-        for arrival, frame, _ in queues[index][heads[index]:]:
-            carried.append((max(0, arrival - cut), index, frame))
-    carried.sort(key=lambda item: (item[0], item[1]))
-
-    injectors: List[object] = []
-    if rng is not None:
-        from repro.faults.bit_errors import RandomViewErrorInjector
-
-        advance(rng, cut * draw_width)
-        injectors.append(
-            RandomViewErrorInjector(
-                spec.noise_ber, seed=rng, only_nodes=spec.noise_nodes
-            )
-        )
-    for burst in spec.bursts_for_window(window):
-        from repro.faults.bit_errors import BurstViewErrorInjector
-
-        injectors.append(
-            BurstViewErrorInjector(burst.node, burst.start - cut, burst.length)
-        )
-    if not injectors:
-        injector = None
-    elif len(injectors) == 1:
-        injector = injectors[0]
-    else:
-        from repro.faults.injector import CompositeInjector
-
-        injector = CompositeInjector(list(injectors))
-
-    config = _controller_config(spec)
-    controllers = [
-        make_controller(spec.protocol, name, m=spec.m, config=config)
-        for name in names
-    ]
-    engine = SimulationEngine(controllers, injector=injector, record_bits=False)
-
-    cursor = [0]
-
-    def _submit(now: int) -> None:
-        index = cursor[0]
-        while index < len(carried) and carried[index][0] == now:
-            _, node_index, frame = carried[index]
-            controllers[node_index].submit(frame)
-            index += 1
-        cursor[0] = index
-        if now == 0:
-            # Losers of committed arbitration rounds retry with their
-            # attempt counters intact, so resumed TX_START/TX_SUCCESS
-            # events number exactly like the engine's.
-            for node_index, carry in enumerate(attempts_carry):
-                if carry and controllers[node_index].tx_queue:
-                    controllers[node_index].tx_queue[0].attempts = carry
-
-    backlog = [0]
-
-    def _sample_backlog(now: int) -> None:
-        if (now + cut) & (_BACKLOG_STRIDE - 1) == 0:
-            depth = max(c.pending_transmissions for c in controllers)
-            if depth > backlog[0]:
-                backlog[0] = depth
-
-    engine.add_tick_hook(_submit)
-    engine.add_tick_hook(_sample_backlog)
-
     try:
-        if cut < spec.window_bits:
-            engine.run(spec.window_bits - cut)
-            drain_budget = spec.max_window_bits
-        else:
-            # The committed prefix already spent part of the drain
-            # budget; the resumed engine gets exactly the remainder.
-            drain_budget = spec.max_window_bits - (cut - spec.window_bits)
-        engine.run_until_idle(max_bits=drain_budget, settle_bits=_SETTLE_BITS)
-    except SimulationError as exc:
-        if str(exc).startswith("bus did not become idle"):
-            raise SimulationError(
-                "bus did not become idle within %d bits" % spec.max_window_bits
-            )
-        raise
-
-    trace = engine.collect_events()
-    prefix_events = list(heapq.merge(*node_events, key=lambda event: event.time))
-    event_counts: Dict[str, int] = {}
-    for event in prefix_events:
-        event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
-    for event in trace.events:
-        event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
-    events: Optional[Tuple[dict, ...]] = None
-    if spec.record_events:
-        records = [event_record(event) for event in prefix_events]
-        for event in trace.events:
-            record = event_record(event)
-            record["t"] += cut
-            records.append(record)
-        events = tuple(records)
-
-    merged_deliveries: Dict[str, Tuple[Tuple[str, int, int], ...]] = {}
-    for index, name in enumerate(names):
-        rows = list(deliveries[index])
-        for delivery in controllers[index].deliveries:
-            key = _decode_wire_key(delivery.frame, n_nodes)
-            if key is not None:
-                rows.append((key[0], key[1], delivery.time + cut))
-        merged_deliveries[name] = tuple(rows)
-
-    prefix_symbols = ["r"] * cut
-    for start, frame_symbols in segments:
-        prefix_symbols[start : start + len(frame_symbols)] = frame_symbols
-    bus = "".join(prefix_symbols) + "".join(
-        level.symbol for level in engine.bus.history
-    )
-
-    ever_offline = sorted(
-        {
-            event.node
-            for event in trace.events
-            if event.kind
-            in (EventKind.BUS_OFF, EventKind.CRASHED, EventKind.DISCONNECTED)
-        }
-        | {c.name for c in controllers if c.offline}
-    )
-    # Prefix depth only: arrivals at or after the cut are re-submitted
-    # into the resumed engine (at ``max(0, arrival - cut)``) and show
-    # up through its own sampler, so the closed-form walk stops at the
-    # cut — it must never see ticks beyond its ``total_bits`` horizon.
-    arrivals = [
-        [entry[0] for entry in node_queue if entry[0] < cut] for node_queue in queues
-    ]
-
-    return WindowResult(
-        window=window,
-        bits=cut + engine.time,
-        bus=bus,
-        deliveries=merged_deliveries,
-        event_counts=event_counts,
-        events=events,
-        ever_offline=tuple(ever_offline),
-        offline_at_end=tuple(c.name for c in controllers if c.offline),
-        max_backlog=max(
-            _max_sampled_backlog(arrivals, completions, cut), backlog[0]
-        ),
-        busy_bits=_busy_symbols(bus),
-        errors_injected=sum(getattr(part, "injected", 0) for part in injectors),
-        backend="resume",
-    )
+        plans, bits = _plan_frames(spec, queues)
+    except SimulationError:
+        return None, None
+    fault = _first_fault(spec, window, noise_seed, bits)
+    if fault is None:
+        return _render_frames(spec, queues, plans, bits)[0], None
+    committed = 0
+    while (
+        committed < len(plans)
+        and plans[committed].t_end + _TURNAROUND - 1 < fault
+    ):
+        committed += 1
+    cut = fault
+    if committed < len(plans):
+        cut = min(fault, plans[committed].t0 - 1)
+    if cut <= 0:
+        return None, None
+    return _render_frames(spec, queues, plans[:committed], cut)

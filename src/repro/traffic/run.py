@@ -1,4 +1,4 @@
-"""Execute a traffic spec: window workers, splicing, ledger verdicts.
+"""Execute a traffic spec: the window pipeline, splicing, ledger verdicts.
 
 Run model
 ---------
@@ -16,6 +16,24 @@ Windows are the sharding unit over ``repro.parallel``: each
 :func:`run_window` call is pure in (spec, window, submissions, noise
 child seed), so ``--jobs 1`` and ``--jobs N`` produce bit-identical
 ledgers by construction.
+
+Window pipeline
+---------------
+
+Every window is a rendered clean prefix plus an optional engine
+suffix, and :func:`run_window` is the one router between them:
+
+- the *prefix* is the window's fault-free timeline, planned and
+  rendered frame by frame by :mod:`repro.traffic.batch` up to the
+  first noise flip or burst (the whole window when none lands on it);
+- the *suffix* is the per-bit engine run by :func:`_run_engine`, the
+  only engine runner, from the cut to the drained end of the window,
+  with the uncommitted submissions, the noise generator advanced to the
+  cut, the bursts shifted by it and the losers' attempt counters
+  carried over.  A plain engine run is the cut-0 case;
+- :func:`_assemble` joins the parts into the :class:`WindowResult` and
+  names which ran: ``"engine"`` (suffix only), ``"batch"`` (prefix
+  only) or ``"resume"`` (both).
 """
 
 from __future__ import annotations
@@ -28,15 +46,18 @@ from repro.errors import SimulationError
 from repro.traffic.schedule import build_schedule, traffic_seed_tree
 from repro.traffic.spec import ID_BASE, Submission, TrafficSpec
 
-#: Extra quiet bits required before a window counts as drained.  HLP
-#: runs settle longer so protocol timeouts (retransmission timers) get
-#: a chance to fire after the controllers fall idle.
-_SETTLE_BITS = 12
+#: Quiet bits that end a drained window.  The busy-bit rule uses the
+#: same horizon: the first ``SETTLE_BITS`` recessive bits after traffic
+#: still count as busy.
+SETTLE_BITS = 12
+
+#: HLP runs settle longer so protocol timeouts (retransmission timers)
+#: get a chance to fire after the controllers fall idle.
 _SETTLE_BITS_HLP = 128
 
 #: Backlog sampling stride (bit times); a power of two so the hook is
 #: one mask test on the hot path.
-_BACKLOG_STRIDE = 16
+BACKLOG_STRIDE = 16
 
 
 @dataclass
@@ -58,11 +79,32 @@ class WindowResult:
     max_backlog: int
     busy_bits: int
     errors_injected: int
-    #: Which evaluator produced this window: ``"engine"`` (per-bit run),
-    #: ``"batch"`` (closed-form clean replay, incl. zero-flip noisy
-    #: windows) or ``"resume"`` (clean prefix + engine from the fault
-    #: point).  Aggregated into :attr:`TrafficOutcome.backend_stats`.
+    #: Which parts evaluated this window: ``"engine"`` (engine suffix
+    #: only), ``"batch"`` (rendered clean prefix only, incl. zero-flip
+    #: noisy windows) or ``"resume"`` (prefix + engine from the cut).
+    #: Aggregated into :attr:`TrafficOutcome.backend_stats`.
     backend: str = "engine"
+
+
+@dataclass
+class WindowPart:
+    """One evaluated stretch of a window, in part-local bit times.
+
+    Either the clean prefix rendered by :mod:`repro.traffic.batch` or
+    the engine suffix of :func:`_run_engine`; :func:`_assemble` joins
+    them into a :class:`WindowResult`.
+    """
+
+    bits: int
+    bus: str
+    #: Time-ordered :class:`repro.can.events.Event` objects.
+    events: list
+    #: Per node index: [(origin, seq, time), ...] in delivery order.
+    deliveries: List[List[Tuple[str, int, int]]]
+    max_backlog: int
+    ever_offline: Tuple[str, ...] = ()
+    offline_at_end: Tuple[str, ...] = ()
+    errors_injected: int = 0
 
 
 @dataclass(frozen=True)
@@ -161,7 +203,7 @@ class TrafficOutcome:
         return "\n".join(lines)
 
 
-def _controller_config(spec: TrafficSpec):
+def controller_config(spec: TrafficSpec):
     """Controller config honouring the spec's fault-confinement knobs."""
     if spec.protocol == "majorcan":
         from repro.core.majorcan import majorcan_config
@@ -178,48 +220,25 @@ def _controller_config(spec: TrafficSpec):
     )
 
 
-def _window_injector(spec: TrafficSpec, window: int, noise_seed):
-    """Compose the window's fault injector (noise + bursts); None if none."""
-    injectors = []
-    if spec.noise_ber > 0.0:
-        from repro.faults.bit_errors import RandomViewErrorInjector
-        from repro.parallel.seeds import rng_from
+def noise_draw_width(spec: TrafficSpec) -> int:
+    """Uniform draws the noise injector consumes per engine tick.
 
-        injectors.append(
-            RandomViewErrorInjector(
-                spec.noise_ber,
-                seed=rng_from(noise_seed),
-                only_nodes=spec.noise_nodes,
-            )
-        )
-    for burst in spec.bursts_for_window(window):
-        from repro.faults.bit_errors import BurstViewErrorInjector
-
-        injectors.append(
-            BurstViewErrorInjector(burst.node, burst.start, burst.length)
-        )
-    if not injectors:
-        return None, ()
-    if len(injectors) == 1:
-        return injectors[0], tuple(injectors)
-    from repro.faults.injector import CompositeInjector
-
-    return CompositeInjector(injectors), tuple(injectors)
+    ``RandomViewErrorInjector`` draws once per ``perturb_view`` call —
+    one per node per tick in engine node order — except that nodes
+    outside ``only_nodes`` return early *before* the draw.
+    """
+    if spec.noise_ber <= 0.0:
+        return 0
+    if spec.noise_nodes is None:
+        return spec.n_nodes
+    allowed = set(spec.noise_nodes)
+    return sum(1 for name in spec.node_names if name in allowed)
 
 
-def _busy_bits(history) -> int:
-    """Busy bit count with the same idle rule as ``measured_bus_load``."""
-    busy = 0
-    idle_run = 0
-    for level in history:
-        if level.value == 0:
-            busy += 1
-            idle_run = 0
-        else:
-            idle_run += 1
-            if idle_run <= 12:
-                busy += 1
-    return busy
+def busy_bits(bus: str) -> int:
+    """Busy bits of a ``d``/``r`` bus string: every dominant bit plus
+    the first :data:`SETTLE_BITS` bits of every recessive run."""
+    return len(bus) - sum(max(0, len(run) - SETTLE_BITS) for run in bus.split("d"))
 
 
 def _decode_wire_key(frame, n_nodes: int) -> Optional[Tuple[str, int]]:
@@ -243,45 +262,93 @@ def run_window(
     ``submissions`` is the window's slice of the global schedule (still
     carrying global nominal times); ``noise_seed`` the spawned child
     seed for this window's noise injector (None when noise is off).
-    ``backend="batch"`` routes fault-free windows through the
-    frame-granular evaluator and noisy/burst windows through the
-    vectorised noise dispatch (:mod:`repro.traffic.batch`); only HLP
-    windows always run on the engine.
+    ``backend="engine"`` runs the whole window on the per-bit engine
+    and plans nothing.  ``backend="batch"`` renders the clean prefix
+    (:func:`repro.traffic.batch.render_prefix`) and resumes the engine
+    only from the first fault on it; windows with neither noise nor a
+    burst are memoised.  HLP windows always run on the engine: their
+    timers submit frames mid-run, so there is no clean timeline to
+    render.
     """
-    if backend == "batch":
-        from repro.traffic.batch import (
-            run_window_batch,
-            run_window_noisy,
-            window_backend,
-        )
+    from repro.traffic.batch import (
+        cached_window,
+        render_prefix,
+        store_window,
+        window_backend,
+        window_cache_key,
+    )
 
-        chosen = window_backend(spec, window)
-        if chosen == "batch":
-            return run_window_batch(spec, window, submissions)
-        if chosen == "noise":
-            return run_window_noisy(spec, window, submissions, noise_seed)
-    return _run_window_engine(spec, window, submissions, noise_seed)
+    route = window_backend(spec, window) if backend == "batch" else "engine"
+    if route == "batch":
+        key = window_cache_key(spec, window, submissions)
+        cached = cached_window(key, window)
+        if cached is not None:
+            return cached
+    prefix = handoff = None
+    if route != "engine":
+        prefix, handoff = render_prefix(spec, window, submissions, noise_seed)
+    if prefix is None:
+        offset = window * spec.window_bits
+        handoff = ([(sub.time - offset, sub) for sub in submissions], 0, ())
+    suffix = None
+    if handoff is not None:
+        suffix = _run_engine(spec, window, noise_seed, *handoff)
+    result = _assemble(spec, window, prefix, suffix)
+    if route == "batch" and suffix is None:
+        store_window(key, result)
+    return result
 
 
-def _run_window_engine(
+def _run_engine(
     spec: TrafficSpec,
     window: int,
-    submissions: Tuple[Submission, ...],
-    noise_seed=None,
-) -> WindowResult:
-    """The per-bit engine evaluation of one window (see ``run_window``)."""
+    noise_seed,
+    carried: List[Tuple[int, Submission]],
+    cut: int = 0,
+    attempts: Tuple[int, ...] = (),
+) -> WindowPart:
+    """The per-bit engine from window tick ``cut`` to the drained end.
+
+    ``carried`` holds the submissions still to make, as (tick relative
+    to the cut, submission) in (tick, node) order.  The engine replays
+    window ticks ``cut..`` at local ``0..``: the noise generator skips
+    the ``cut`` ticks' draws, bursts shift by ``cut``, backlog samples
+    keep the window's stride phase, and ``attempts`` restores the retry
+    counters of nodes that lost a committed arbitration round, so their
+    next TX_START numbers exactly like an uninterrupted run.  At
+    ``cut=0`` every one of these is the identity.
+    """
     from repro.faults.scenarios import make_controller
     from repro.simulation.engine import SimulationEngine
-    from repro.tracestore.recorder import event_record
 
-    config = _controller_config(spec)
-    injector, injector_parts = _window_injector(spec, window, noise_seed)
-    offset = window * spec.window_bits
-    local = [
-        (sub.time - offset, sub.node_index, sub.seq, sub.payload,
-         sub.identifier, sub.message_id)
-        for sub in submissions
-    ]
+    config = controller_config(spec)
+    injectors: List[object] = []
+    if spec.noise_ber > 0.0:
+        from repro.faults.bit_errors import RandomViewErrorInjector
+        from repro.parallel.seeds import rng_from
+
+        rng = rng_from(noise_seed)
+        if cut:
+            from repro.analysis.noisebatch import advance
+
+            advance(rng, cut * noise_draw_width(spec))
+        injectors.append(
+            RandomViewErrorInjector(
+                spec.noise_ber, seed=rng, only_nodes=spec.noise_nodes
+            )
+        )
+    for burst in spec.bursts_for_window(window):
+        from repro.faults.bit_errors import BurstViewErrorInjector
+
+        injectors.append(
+            BurstViewErrorInjector(burst.node, burst.start - cut, burst.length)
+        )
+    if len(injectors) > 1:
+        from repro.faults.injector import CompositeInjector
+
+        injector = CompositeInjector(injectors)
+    else:
+        injector = injectors[0] if injectors else None
 
     app_nodes = None
     if spec.hlp is None:
@@ -305,48 +372,37 @@ def _run_window_engine(
         )
         controllers = [node.controller for node in app_nodes]
         first_seq: Dict[int, int] = {}
-        for _, node_index, seq, _, _, _ in local:
-            first_seq.setdefault(node_index, seq)
+        for _, sub in carried:
+            first_seq.setdefault(sub.node_index, sub.seq)
         for node_index, seq in first_seq.items():
             app_nodes[node_index].advance_sequence_to(seq)
 
     cursor = [0]
-    if spec.hlp is None:
-        from repro.can.frame import data_frame
 
-        def _submit(now: int) -> None:
-            index = cursor[0]
-            while index < len(local) and local[index][0] == now:
-                _, node_index, seq, payload, identifier, message_id = local[index]
-                controllers[node_index].submit(
-                    data_frame(
-                        identifier,
-                        payload,
-                        message_id=message_id,
-                        origin=spec.node_names[node_index],
-                    )
-                )
-                index += 1
-            cursor[0] = index
-    else:
-
-        def _submit(now: int) -> None:
-            index = cursor[0]
-            while index < len(local) and local[index][0] == now:
-                _, node_index, seq, payload, _, _ = local[index]
-                message = app_nodes[node_index].broadcast(payload)
-                if message.seq != seq:
+    def _submit(now: int) -> None:
+        index = cursor[0]
+        while index < len(carried) and carried[index][0] == now:
+            sub = carried[index][1]
+            if app_nodes is None:
+                controllers[sub.node_index].submit(sub.frame())
+            else:
+                message = app_nodes[sub.node_index].broadcast(sub.payload)
+                if message.seq != sub.seq:
                     raise SimulationError(
                         "window %d: node n%d minted seq %d for scheduled seq %d"
-                        % (window, node_index, message.seq, seq)
+                        % (window, sub.node_index, message.seq, sub.seq)
                     )
-                index += 1
-            cursor[0] = index
+            index += 1
+        cursor[0] = index
+        if now == 0:
+            for node_index, carry in enumerate(attempts):
+                if carry and controllers[node_index].tx_queue:
+                    controllers[node_index].tx_queue[0].attempts = carry
 
     backlog = [0]
 
     def _sample_backlog(now: int) -> None:
-        if now & (_BACKLOG_STRIDE - 1) == 0:
+        if (now + cut) & (BACKLOG_STRIDE - 1) == 0:
             depth = max(c.pending_transmissions for c in controllers)
             if depth > backlog[0]:
                 backlog[0] = depth
@@ -354,65 +410,117 @@ def _run_window_engine(
     engine.add_tick_hook(_submit)
     engine.add_tick_hook(_sample_backlog)
 
-    engine.run(spec.window_bits)
-    settle = _SETTLE_BITS_HLP if spec.hlp else _SETTLE_BITS
-    engine.run_until_idle(max_bits=spec.max_window_bits, settle_bits=settle)
+    try:
+        if cut < spec.window_bits:
+            engine.run(spec.window_bits - cut)
+            drain_budget = spec.max_window_bits
+        else:
+            # A committed prefix already spent part of the drain budget;
+            # the resumed engine gets exactly the remainder.
+            drain_budget = spec.max_window_bits - (cut - spec.window_bits)
+        engine.run_until_idle(
+            max_bits=drain_budget,
+            settle_bits=_SETTLE_BITS_HLP if spec.hlp else SETTLE_BITS,
+        )
+    except SimulationError as exc:
+        if str(exc).startswith("bus did not become idle"):
+            raise SimulationError(
+                "bus did not become idle within %d bits" % spec.max_window_bits
+            )
+        raise
 
-    trace = engine.collect_events()
-    event_counts: Dict[str, int] = {}
-    for event in trace.events:
-        event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
-    events = (
-        tuple(event_record(event) for event in trace.events)
-        if spec.record_events
-        else None
-    )
-
-    deliveries: Dict[str, Tuple[Tuple[str, int, int], ...]] = {}
-    if spec.hlp is None:
+    if app_nodes is None:
+        deliveries = []
         for controller in controllers:
             rows = []
             for delivery in controller.deliveries:
                 key = _decode_wire_key(delivery.frame, spec.n_nodes)
                 if key is not None:
                     rows.append((key[0], key[1], delivery.time))
-            deliveries[controller.name] = tuple(rows)
+            deliveries.append(rows)
     else:
-        for node in app_nodes:
-            rows = []
-            for (origin_id, seq), delivery in zip(
-                node.delivered_keys, node.app_deliveries
-            ):
-                rows.append(("n%d" % origin_id, seq, delivery.time))
-            deliveries[node.name] = tuple(rows)
+        deliveries = [
+            [
+                ("n%d" % origin_id, seq, delivery.time)
+                for (origin_id, seq), delivery in zip(
+                    node.delivered_keys, node.app_deliveries
+                )
+            ]
+            for node in app_nodes
+        ]
 
     from repro.can.events import EventKind
 
-    ever_offline = sorted(
-        {
-            event.node
-            for event in trace.events
-            if event.kind
-            in (EventKind.BUS_OFF, EventKind.CRASHED, EventKind.DISCONNECTED)
-        }
-        | {c.name for c in controllers if c.offline}
-    )
-    offline_at_end = tuple(c.name for c in controllers if c.offline)
-    injected = sum(getattr(part, "injected", 0) for part in injector_parts)
-
-    return WindowResult(
-        window=window,
+    events = engine.collect_events().events
+    offline = (EventKind.BUS_OFF, EventKind.CRASHED, EventKind.DISCONNECTED)
+    ever_offline = {event.node for event in events if event.kind in offline}
+    ever_offline.update(c.name for c in controllers if c.offline)
+    return WindowPart(
         bits=engine.time,
         bus="".join(level.symbol for level in engine.bus.history),
-        deliveries=deliveries,
-        event_counts=event_counts,
         events=events,
-        ever_offline=tuple(ever_offline),
-        offline_at_end=offline_at_end,
+        deliveries=deliveries,
         max_backlog=backlog[0],
-        busy_bits=_busy_bits(engine.bus.history),
-        errors_injected=injected,
-        backend="engine",
+        ever_offline=tuple(sorted(ever_offline)),
+        offline_at_end=tuple(c.name for c in controllers if c.offline),
+        errors_injected=sum(getattr(part, "injected", 0) for part in injectors),
+    )
+
+
+def _assemble(
+    spec: TrafficSpec,
+    window: int,
+    prefix: Optional[WindowPart],
+    suffix: Optional[WindowPart],
+) -> WindowResult:
+    """Join the rendered prefix and the engine suffix into one result.
+
+    Suffix times are local to the cut, so they shift by the prefix's
+    length; every prefix event precedes the cut, so concatenation is
+    the engine's time-ordered merge.
+    """
+    from repro.tracestore.recorder import event_record
+
+    parts = [part for part in (prefix, suffix) if part is not None]
+    event_counts: Dict[str, int] = {}
+    records: Optional[List[dict]] = [] if spec.record_events else None
+    rows: List[List[Tuple[str, int, int]]] = [[] for _ in range(spec.n_nodes)]
+    offset = 0
+    for part in parts:
+        # The first part keeps its rows and times as they are, so a
+        # clean window shares them instead of holding shifted copies.
+        for event in part.events:
+            event_counts[event.kind] = event_counts.get(event.kind, 0) + 1
+            if records is not None:
+                record = event_record(event)
+                if offset:
+                    record["t"] += offset
+                records.append(record)
+        for node_rows, part_rows in zip(rows, part.deliveries):
+            if offset:
+                part_rows = [(origin, seq, time + offset) for origin, seq, time in part_rows]
+            node_rows.extend(part_rows)
+        offset += part.bits
+    bus = "".join(part.bus for part in parts)
+    if prefix is None:
+        backend = "engine"
+    else:
+        backend = "batch" if suffix is None else "resume"
+    return WindowResult(
+        window=window,
+        bits=offset,
+        bus=bus,
+        deliveries=dict(zip(spec.node_names, map(tuple, rows))),
+        event_counts=event_counts,
+        events=tuple(records) if records is not None else None,
+        ever_offline=tuple(
+            sorted(set().union(*(part.ever_offline for part in parts)))
+        ),
+        offline_at_end=parts[-1].offline_at_end,
+        max_backlog=max(part.max_backlog for part in parts),
+        busy_bits=busy_bits(bus),
+        errors_injected=sum(part.errors_injected for part in parts),
+        backend=backend,
     )
 
 
@@ -562,14 +670,11 @@ def run_traffic(
     serially, the per-window noise seeds are spawned from the root
     seed, and ``run_tasks`` preserves submission order.
 
-    ``backend="batch"`` evaluates fault-free windows with the
-    frame-granular replay of :mod:`repro.traffic.batch` — same ledger,
-    stats and events, no per-bit engine — and noisy/burst windows with
-    the vectorised noise dispatch (zero-flip realisations resolve
-    through the clean replay, flipped ones resume the engine from the
-    fault point); only HLP windows fall back to the engine outright.
-    The per-window provenance is reported in
-    :attr:`TrafficOutcome.backend_stats`.
+    ``backend="batch"`` renders each window's clean prefix frame by
+    frame (:mod:`repro.traffic.batch`) and runs the engine only from
+    the first noise flip or burst on it — same ledger, stats and
+    events; HLP windows run on the engine outright.  The per-window
+    provenance is reported in :attr:`TrafficOutcome.backend_stats`.
     """
     from repro.errors import ConfigurationError
     from repro.parallel.pool import run_tasks

@@ -36,6 +36,9 @@ ID_BASE = 0x100
 _PROTOCOLS = ("can", "minorcan", "majorcan")
 _SOURCES = ("periodic", "poisson")
 _HLPS = ("edcan", "relcan", "totcan")
+_INTEGER_FIELDS = (
+    "m", "n_nodes", "windows", "window_bits", "frame_bits", "seed", "max_window_bits"
+)
 
 #: Wire-encoding sequence-number capacities: the generator payload
 #: carries a 16-bit little-endian sequence, the HLP header a mod-256
@@ -61,6 +64,7 @@ class BurstSpec:
     window: int = 0
 
     def __post_init__(self) -> None:
+        _check_types(self, ("start", "length", "window"), int, "an integer")
         if self.start < 0:
             raise ConfigurationError("burst start must be non-negative")
         if self.length < 1:
@@ -78,10 +82,12 @@ class BurstSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "BurstSpec":
+        if not isinstance(data, dict):
+            raise TraceStoreError("burst must be an object, not %r" % (data,))
         return cls(
-            node=data["node"],
-            start=data["start"],
-            length=data["length"],
+            node=_required(data, "node", "burst"),
+            start=_required(data, "start", "burst"),
+            length=_required(data, "length", "burst"),
             window=data.get("window", 0),
         )
 
@@ -107,6 +113,14 @@ class Submission:
     @property
     def key(self) -> Tuple[str, int]:
         return (self.node, self.seq)
+
+    def frame(self):
+        """The data frame the node submits for this message."""
+        from repro.can.frame import data_frame
+
+        return data_frame(
+            self.identifier, self.payload, message_id=self.message_id, origin=self.node
+        )
 
 
 @dataclass(frozen=True)
@@ -135,8 +149,13 @@ class TrafficSpec:
     max_window_bits: int = 200_000
 
     def __post_init__(self) -> None:
+        _check_types(self, _INTEGER_FIELDS, int, "an integer")
+        _check_types(self, ("messages_per_node",), (int, type(None)), "an integer")
+        _check_types(self, ("load", "rate_per_bit", "noise_ber"), (int, float), "a number")
         object.__setattr__(self, "bursts", tuple(self.bursts))
         if self.noise_nodes is not None:
+            if not isinstance(self.noise_nodes, (list, tuple)):
+                raise ConfigurationError("noise_nodes must be a list of node names")
             object.__setattr__(self, "noise_nodes", tuple(self.noise_nodes))
         if self.protocol not in _PROTOCOLS:
             raise ConfigurationError(
@@ -171,8 +190,6 @@ class TrafficSpec:
             raise ConfigurationError("rate_per_bit must be a probability")
         if not 0.0 <= self.noise_ber < 1.0:
             raise ConfigurationError("noise_ber must be in [0, 1)")
-        if not isinstance(self.seed, int):
-            raise ConfigurationError("seed must be an integer")
         if self.messages_per_node is not None and self.messages_per_node < 0:
             raise ConfigurationError("messages_per_node must be non-negative")
         names = set(self.node_names)
@@ -278,30 +295,54 @@ class TrafficSpec:
             raise TraceStoreError(
                 "manifest kind %r is not 'traffic'" % manifest.get("kind")
             )
-        traffic = manifest.get("traffic", {})
-        engine = manifest.get("engine", {})
-        noise_nodes = traffic.get("noise_nodes")
+        traffic = _section(manifest, "traffic")
+        engine = _section(manifest, "engine")
+        bursts = traffic.get("bursts", [])
+        if not isinstance(bursts, list):
+            raise TraceStoreError("traffic.bursts must be a list, not %r" % (bursts,))
         return cls(
             name=manifest.get("name", "traffic"),
-            protocol=traffic["protocol"],
-            m=traffic["m"],
-            n_nodes=traffic["n_nodes"],
-            windows=traffic["windows"],
-            window_bits=traffic["window_bits"],
-            source=traffic["source"],
-            load=traffic["load"],
-            frame_bits=traffic["frame_bits"],
-            rate_per_bit=traffic["rate_per_bit"],
+            protocol=_required(traffic, "protocol"),
+            m=_required(traffic, "m"),
+            n_nodes=_required(traffic, "n_nodes"),
+            windows=_required(traffic, "windows"),
+            window_bits=_required(traffic, "window_bits"),
+            source=_required(traffic, "source"),
+            load=_required(traffic, "load"),
+            frame_bits=_required(traffic, "frame_bits"),
+            rate_per_bit=_required(traffic, "rate_per_bit"),
             messages_per_node=traffic.get("messages_per_node"),
-            seed=traffic["seed"],
+            seed=_required(traffic, "seed"),
             hlp=traffic.get("hlp"),
             noise_ber=traffic.get("noise_ber", 0.0),
-            noise_nodes=tuple(noise_nodes) if noise_nodes is not None else None,
-            bursts=tuple(
-                BurstSpec.from_dict(burst) for burst in traffic.get("bursts", [])
-            ),
+            noise_nodes=traffic.get("noise_nodes"),
+            bursts=tuple(BurstSpec.from_dict(burst) for burst in bursts),
             bus_off_recovery=traffic.get("bus_off_recovery", False),
             fast_path=engine.get("fast_path", True),
             record_events=engine.get("record_events", True),
             max_window_bits=engine.get("max_window_bits", 200_000),
         )
+
+
+def _section(manifest: Dict[str, Any], key: str) -> Dict[str, Any]:
+    """One object-valued manifest section (empty when absent)."""
+    value = manifest.get(key, {})
+    if not isinstance(value, dict):
+        raise TraceStoreError("manifest %r must be an object, not %r" % (key, value))
+    return value
+
+
+def _required(section: Dict[str, Any], key: str, where: str = "traffic") -> Any:
+    """``section[key]``, or a ``TraceStoreError`` naming the missing key."""
+    try:
+        return section[key]
+    except KeyError:
+        raise TraceStoreError("%s manifest lacks %r" % (where, key)) from None
+
+
+def _check_types(spec: Any, names: Tuple[str, ...], types, what: str) -> None:
+    """Refuse mistyped values before the range checks compare them."""
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigurationError("%s must be %s, not %r" % (name, what, value))

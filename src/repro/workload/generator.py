@@ -135,17 +135,9 @@ def measured_bus_load(engine: SimulationEngine, start: int = 0) -> float:
     tail bits); exact accounting of interframe gaps is unnecessary for
     the tests that sanity-check the generators.
     """
+    from repro.traffic.run import busy_bits
+
     history = engine.bus.history[start:]
     if not history:
         return 0.0
-    busy = 0
-    idle_run = 0
-    for level in history:
-        if level.value == 0:
-            busy += 1
-            idle_run = 0
-        else:
-            idle_run += 1
-            if idle_run <= 12:
-                busy += 1
-    return busy / len(history)
+    return busy_bits("".join(level.symbol for level in history)) / len(history)

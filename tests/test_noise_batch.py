@@ -135,7 +135,7 @@ class TestNoisyTrafficDifferential:
         clear_window_cache()
         cold = run_traffic(_NOISY_SPEC, jobs=1, backend="batch")
         assert _lines(cold) == reference
-        # Warm cache: the window memo now holds every clean timeline.
+        # Warm run: encoder caches warm (noisy windows skip the window memo).
         warm = run_traffic(_NOISY_SPEC, jobs=1, backend="batch")
         assert _lines(warm) == reference
         assert _lines(run_traffic(_NOISY_SPEC, jobs=2, backend="batch")) == reference

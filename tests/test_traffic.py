@@ -1,6 +1,8 @@
 """Tests for the steady-state traffic engine (:mod:`repro.traffic`)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.errors import ConfigurationError, ProtocolError, TraceStoreError
@@ -15,7 +17,7 @@ from repro.traffic import (
     splice_windows,
     traffic_records,
 )
-from repro.traffic.run import WindowResult
+from repro.traffic.run import WindowResult, busy_bits
 from repro.traffic.spec import Submission
 from repro.workload.profiles import NetworkProfile
 
@@ -111,6 +113,16 @@ class TestSpecGeometry:
         assert spec.bursts_for_window(0) == (every,)
         assert spec.bursts_for_window(1) == (every, only1)
 
+    @given(st.text(alphabet="dr", max_size=120))
+    def test_busy_bits_matches_the_stepwise_idle_rule(self, bus):
+        # Reference: dominant bits plus the first twelve bits of every
+        # recessive run, counted one bit at a time.
+        busy = idle_run = 0
+        for symbol in bus:
+            idle_run = 0 if symbol == "d" else idle_run + 1
+            busy += idle_run <= 12
+        assert busy_bits(bus) == busy
+
 
 class TestManifestRoundTrip:
     def test_round_trip_is_exact(self):
@@ -145,6 +157,35 @@ class TestManifestRoundTrip:
         manifest = TrafficSpec().to_manifest()
         manifest["kind"] = "scenario"
         with pytest.raises(TraceStoreError):
+            TrafficSpec.from_manifest(manifest)
+
+    @pytest.mark.parametrize(
+        "mutate, error, key",
+        [
+            (lambda m: m["traffic"].pop("protocol"), TraceStoreError, "protocol"),
+            (lambda m: m["traffic"].pop("seed"), TraceStoreError, "seed"),
+            (lambda m: m["traffic"]["bursts"][0].pop("start"), TraceStoreError, "start"),
+            (lambda m: m.update(traffic=[1]), TraceStoreError, "traffic"),
+            (lambda m: m["traffic"].update(noise_nodes=5), ConfigurationError, "noise_nodes"),
+            (lambda m: m["traffic"].update(n_nodes="three"), ConfigurationError, "n_nodes"),
+            (lambda m: m["traffic"].update(load="high"), ConfigurationError, "load"),
+        ],
+        ids=[
+            "no-protocol",
+            "no-seed",
+            "burst-without-start",
+            "traffic-not-an-object",
+            "noise-nodes-not-a-list",
+            "n-nodes-not-an-integer",
+            "load-not-a-number",
+        ],
+    )
+    def test_malformed_manifest_names_the_key(self, mutate, error, key):
+        manifest = TrafficSpec(
+            bursts=(BurstSpec(node="n1", start=10, length=4),)
+        ).to_manifest()
+        mutate(manifest)
+        with pytest.raises(error, match=key):
             TrafficSpec.from_manifest(manifest)
 
 

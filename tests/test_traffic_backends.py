@@ -7,6 +7,8 @@ per-frame verdicts, aggregate verdict — as the per-bit engine, for any
 worker count, cache temperature and fallback mix.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
@@ -146,25 +148,69 @@ class TestFallbackAccounting:
         outcome = run_traffic(_SEEDED_SPECS[1], jobs=1)
         assert outcome.backend_stats is None
 
-    def test_burst_window_resumes_from_the_cut(self):
-        spec = TrafficSpec(
+    @pytest.mark.parametrize(
+        "where, split",
+        [
+            ("tick-0", {"batch": 2, "engine": 1}),
+            ("before-first-sof", {"batch": 2, "resume": 1}),
+            ("between-frames", {"batch": 2, "resume": 1}),
+            ("intermission", {"batch": 2, "resume": 1}),
+            ("after-last-frame", {"batch": 2, "resume": 1}),
+            ("drain", {"batch": 2, "resume": 1}),
+            ("past-the-drain", {"batch": 3}),
+        ],
+    )
+    def test_burst_window_resumes_from_the_cut(self, where, split):
+        from repro.traffic import build_schedule
+        from repro.traffic.batch import _local_queues, _plan_frames, render_prefix
+
+        base = TrafficSpec(
             name="burst-split",
             protocol="majorcan",
             m=5,
             n_nodes=3,
             windows=3,
             window_bits=800,
-            load=0.7,
+            load=0.4,
             seed=13,
-            bursts=(BurstSpec(node="n1", window=1, start=120, length=6),),
+        )
+        window_subs = tuple(s for s in build_schedule(base) if s.window == 1)
+        plans, bits = _plan_frames(base, _local_queues(base, 1, window_subs))
+        frames = [(plan.t0, plan.t_end) for plan in plans]
+        assert len(frames) >= 2 and frames[-1][1] + 3 < base.window_bits - 10
+        start = {
+            "tick-0": 0,
+            "before-first-sof": frames[0][0] - 10,
+            "between-frames": frames[0][1] + 20,
+            # The second frame's second intermission bit: it must not
+            # commit, so the cut falls before its SOF.
+            "intermission": frames[1][1] + 2,
+            "after-last-frame": frames[-1][1] + 10,
+            "drain": base.window_bits + 2,
+            "past-the-drain": bits,
+        }[where]
+        spec = replace(
+            base, bursts=(BurstSpec(node="n1", window=1, start=start, length=6),)
         )
         assert window_backend(spec, 0) == "batch"
         assert window_backend(spec, 1) == "noise"
         assert window_backend(spec, 2) == "batch"
+        if where == "intermission":
+            prefix, _ = render_prefix(spec, 1, window_subs)
+            assert frames[0][1] + 3 < prefix.bits < frames[1][0]
         clear_window_cache()
         batch = run_traffic(spec, jobs=1, backend="batch")
-        assert batch.backend_stats == {"batch": 2, "resume": 1}
+        assert batch.backend_stats == split
         assert _lines(batch) == _lines(run_traffic(spec, jobs=1))
+
+    def test_noisy_busoff_entry_resumes_through_bus_off(self):
+        from repro.tracestore.corpus import _traffic_spec
+
+        spec = _traffic_spec("traffic-noisy-busoff-majorcan")
+        outcome = run_traffic(spec, jobs=1, backend="batch")
+        assert outcome.backend_stats.get("resume", 0) >= 1
+        assert outcome.stats.bus_off >= 1
+        assert outcome.stats.bus_off_recovered >= 1
 
     def test_noisy_windows_route_to_the_noise_evaluator(self):
         spec = TrafficSpec(

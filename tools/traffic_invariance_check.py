@@ -14,19 +14,20 @@ AB1–AB5 property results.  Any mismatch means the parallel path leaked
 state into the simulation (or the batch evaluator drifted from the
 engine) and fails the build.
 
-Runs three specs so every traffic regime is covered: a clean contended
+Runs four specs so every traffic regime is covered: a clean contended
 MajorCAN run (all windows batch-eligible), a noisy CAN run with a
 deterministic burst whose per-window noise streams come from the
-spawned seed tree (windows scan for the first flip on the vectorised
-noise evaluator and *resume* from the cut — or classify closed-form
-when the scan comes back clean), and a low-BER MajorCAN run where most
-windows scan clean and the occasional flipped one resumes.
+spawned seed tree (windows scan for the first flip and *resume* the
+engine from the cut — or stay a rendered clean window when the scan
+comes back clean), a low-BER MajorCAN run where most windows scan
+clean and the occasional flipped one resumes, and a noisy RELCAN run
+that takes the engine runner's HLP branch on both backends.
 
 Usage::
 
     PYTHONPATH=src python tools/traffic_invariance_check.py
 
-Exit status 0 when both specs are invariant, 1 otherwise.
+Exit status 0 when every spec is invariant, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -78,6 +79,17 @@ def _specs():
             load=0.55,
             seed=11,
             noise_ber=2e-5,
+        ),
+        TrafficSpec(
+            name="invariance-hlp-relcan",
+            protocol="can",
+            hlp="relcan",
+            n_nodes=3,
+            windows=2,
+            window_bits=1000,
+            load=0.5,
+            seed=31,
+            noise_ber=0.001,
         ),
     )
 
