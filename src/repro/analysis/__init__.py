@@ -2,8 +2,10 @@
 
 from repro.analysis.batchreplay import (
     BatchReplayEvaluator,
+    EngineEvaluator,
     PlacementOutcome,
-    classify_placements,
+    engine_placement,
+    placement_evaluator,
     tail_shape,
 )
 from repro.analysis.enumeration import (
@@ -84,8 +86,10 @@ from repro.analysis.table1 import (
 __all__ = [
     "BatchReplayEvaluator",
     "Counterexample",
+    "EngineEvaluator",
     "PlacementOutcome",
-    "classify_placements",
+    "engine_placement",
+    "placement_evaluator",
     "tail_shape",
     "MAblationRow",
     "MonteCarloResult",

@@ -1,11 +1,20 @@
-"""Vectorised batch replay of wire programs over tail error placements.
+"""Flip-placement classification: the engine oracle and the batch replay.
 
-``verify_consistency`` and ``enumerate_tail_patterns`` classify one
-error placement per full engine run: every placement re-simulates the
-whole frame bit by bit even though all the fault sites live in the
-frame *tail* (CRC delimiter, ACK slot, ACK delimiter, EOF, and the
-MajorCAN sampling window) and the pre-tail portion of every attempt is
-therefore identical and error-free.  This module exploits that: it
+Every analysis driver (``verify_consistency``,
+``enumerate_tail_patterns``, ``monte_carlo_tail``, ``ablation_row``)
+classifies placements through one evaluator interface —
+``evaluate(combos)``, ``counterexample(combo, outcome)`` and ``stats``
+— built by :func:`placement_evaluator` for its backend.
+:func:`engine_placement` is the one oracle: a full engine run of the
+frame under the placement's view flips.  :class:`EngineEvaluator` runs
+it per placement; :class:`BatchReplayEvaluator` runs it only for what
+its models cannot represent.
+
+One engine run per placement re-simulates the whole frame bit by bit
+even though all the fault sites live in the frame *tail* (CRC
+delimiter, ACK slot, ACK delimiter, EOF, and the MajorCAN sampling
+window) and the pre-tail portion of every attempt is therefore
+identical and error-free.  The batch replay exploits that: it
 expands the cached :class:`repro.can.encoding.WireProgram` into flat
 row-matrices, precompiles the fixed error-signalling shapes (error and
 overload flags are always :data:`FLAG_LENGTH` dominant bits, delimiters
@@ -63,7 +72,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,7 +97,9 @@ from repro.can.encoding import (
     header_shape,
     wire_program,
 )
-from repro.faults.scenarios import make_controller
+from repro.errors import AnalysisError
+from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
+from repro.faults.scenarios import make_controller, run_single_frame_scenario
 
 logger = logging.getLogger(__name__)
 
@@ -264,7 +275,7 @@ class PlacementOutcome:
 
     @property
     def kind(self) -> Optional[str]:
-        """Counterexample kind, mirroring ``classify_placement``."""
+        """Counterexample kind: ``"imo"``, ``"double"``, ``"inconsistent"``."""
         if self.inconsistent_omission:
             return "imo"
         if self.double_reception:
@@ -274,13 +285,47 @@ class PlacementOutcome:
         return None
 
 
-class BatchReplayEvaluator:
-    """Classify batches of tail error placements without engine runs.
+def network_names(n_nodes: int) -> Tuple[str, ...]:
+    """Node names of an ``n_nodes`` analysis network: ``tx``, ``r1``, ..."""
+    return ("tx",) + tuple("r%d" % i for i in range(1, n_nodes))
 
-    Placements the micro-model cannot represent (unsupported fields,
-    unexpected program layout, bailed simulations) transparently fall
-    back to the engine, so every returned outcome is exact.
+
+def engine_placement(
+    protocol: str,
+    m: int,
+    node_names: Sequence[str],
+    frame: Frame,
+    combo: Sequence[Site],
+) -> PlacementOutcome:
+    """The oracle: one engine run of ``frame`` under the flips of ``combo``.
+
+    ``node_names[0]`` transmits and the deliveries align with
+    ``node_names``.  Every engine-classified placement goes through
+    here: the engine backend, the batch backend's fallback and its
+    reduced header runs.
     """
+    nodes = [make_controller(protocol, name, m=m) for name in node_names]
+    faults = [
+        ViewFault(name, Trigger(field=field_name, index=index), force=None)
+        for name, field_name, index in combo
+    ]
+    outcome = run_single_frame_scenario(
+        "placement",
+        nodes,
+        ScriptedInjector(view_faults=faults),
+        frame=frame,
+        record_bits=False,
+        max_bits=60000,
+    )
+    return PlacementOutcome(
+        deliveries=tuple(outcome.deliveries[name] for name in node_names),
+        attempts=outcome.attempts,
+        via="engine",
+    )
+
+
+class _Evaluator:
+    """The network, frame and hit tuples both backends share."""
 
     def __init__(
         self,
@@ -296,19 +341,52 @@ class BatchReplayEvaluator:
         self.frame = frame if frame is not None else data_frame(
             0x123, payload, message_id="m"
         )
-        self.shape = tail_shape(protocol, m, self.frame)
+        #: Outcome provenance counters (empty on the engine backend).
+        self.stats: Dict[str, int] = {}
+
+    def counterexample(
+        self, combo: Sequence[Site], outcome: PlacementOutcome
+    ) -> Optional[Tuple]:
+        """The picklable ``Counterexample`` arguments of a hit, or None."""
+        kind = outcome.kind
+        if kind is None:
+            return None
+        deliveries = tuple(sorted(zip(self.node_names, outcome.deliveries)))
+        return (tuple(combo), deliveries, outcome.attempts, kind)
+
+
+class EngineEvaluator(_Evaluator):
+    """The engine backend: one :func:`engine_placement` per placement.
+
+    ``evaluate`` is lazy, so a consumer that stops at its first hit runs
+    no further placements.
+    """
+
+    def evaluate(
+        self, combos: Iterable[Sequence[Site]]
+    ) -> Iterator[PlacementOutcome]:
+        for combo in combos:
+            yield engine_placement(
+                self.protocol, self.m, self.node_names, self.frame, combo
+            )
+
+
+class BatchReplayEvaluator(_Evaluator):
+    """Classify batches of tail error placements without engine runs.
+
+    Placements the micro-model cannot represent (unsupported fields,
+    unexpected program layout, bailed simulations) transparently fall
+    back to the engine, so every returned outcome is exact.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.shape = tail_shape(self.protocol, self.m, self.frame)
         self._node_index = {name: i for i, name in enumerate(self.node_names)}
         #: Outcome provenance counters: placements classified by the
         #: array pass, the scalar micro-sim, the header class cache,
         #: and the engine fallback.
-        self.stats: Dict[str, int] = {
-            "batch": 0,
-            "scalar": 0,
-            "header": 0,
-            "engine": 0,
-        }
-
-    # -- public API ----------------------------------------------------
+        self.stats = {"batch": 0, "scalar": 0, "header": 0, "engine": 0}
 
     def evaluate(self, combos: Iterable[Sequence[Site]]) -> List[PlacementOutcome]:
         """Classify every placement; order follows the input.
@@ -407,18 +485,6 @@ class BatchReplayEvaluator:
                     )
                     self._finish(outcomes, pending[key], key, outcome, stat)
         return outcomes  # type: ignore[return-value]
-
-    def counterexample(
-        self, combo: Sequence[Site], outcome: PlacementOutcome
-    ) -> Optional[Tuple]:
-        """The ``classify_placement``-shaped hit tuple, or None."""
-        kind = outcome.kind
-        if kind is None:
-            return None
-        deliveries = tuple(
-            sorted(zip(self.node_names, outcome.deliveries))
-        )
-        return (tuple(combo), deliveries, outcome.attempts, kind)
 
     # -- internals -----------------------------------------------------
 
@@ -704,32 +770,9 @@ class BatchReplayEvaluator:
         )
 
     def _engine_outcome(self, combo: Sequence[Site]) -> PlacementOutcome:
-        from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-        from repro.faults.scenarios import run_single_frame_scenario
-
         self.stats["engine"] += 1
-        nodes = [
-            make_controller(self.protocol, name, m=self.m)
-            for name in self.node_names
-        ]
-        faults = [
-            ViewFault(name, Trigger(field=field_name, index=index), force=None)
-            for name, field_name, index in combo
-        ]
-        outcome = run_single_frame_scenario(
-            "batchreplay-oracle",
-            nodes,
-            ScriptedInjector(view_faults=faults),
-            frame=self.frame,
-            record_bits=False,
-            max_bits=60000,
-        )
-        return PlacementOutcome(
-            deliveries=tuple(
-                outcome.deliveries[name] for name in self.node_names
-            ),
-            attempts=outcome.attempts,
-            via="engine",
+        return engine_placement(
+            self.protocol, self.m, self.node_names, self.frame, combo
         )
 
 
@@ -786,6 +829,27 @@ def clear_caches() -> None:
     _COMBO_CACHE.clear()
 
 
+def placement_evaluator(
+    backend: str,
+    protocol: str,
+    m: int,
+    node_names: Sequence[str],
+    payload: bytes = b"\x55",
+    frame: Optional[Frame] = None,
+) -> _Evaluator:
+    """The placement classifier of ``backend`` (``"engine"`` or ``"batch"``).
+
+    Both backends classify every placement identically; the batch one
+    records its provenance split in ``stats``.
+    """
+    evaluators = {"engine": EngineEvaluator, "batch": BatchReplayEvaluator}
+    if backend not in evaluators:
+        raise AnalysisError(
+            "unknown backend %r (use 'engine' or 'batch')" % (backend,)
+        )
+    return evaluators[backend](protocol, m, node_names, payload=payload, frame=frame)
+
+
 def _reduced_class_run(
     protocol: str,
     m: int,
@@ -799,31 +863,22 @@ def _reduced_class_run(
     the run instantiates one node per carrier plus one witness when the
     full network has a clean receiver left.
     """
-    from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-    from repro.faults.scenarios import run_single_frame_scenario
-
-    carriers = ["tx"] + ["f%d" % j for j in range(1, len(groups))]
-    names = carriers + (["wit"] if has_witness else [])
-    nodes = [make_controller(protocol, name, m=m) for name in names]
-    faults = [
-        ViewFault(name, Trigger(field=field_name, index=index), force=None)
+    carriers = ("tx",) + tuple("f%d" % j for j in range(1, len(groups)))
+    names = carriers + (("wit",) if has_witness else ())
+    combo = tuple(
+        (name, field_name, index)
         for name, group in zip(carriers, groups)
         for field_name, index in group
-    ]
-    outcome = run_single_frame_scenario(
-        "batchreplay-reduced-class",
-        nodes,
-        ScriptedInjector(view_faults=faults),
-        frame=frame,
-        record_bits=False,
-        max_bits=60000,
     )
-    tx_count = outcome.deliveries["tx"]
-    faulted_counts = tuple(
-        outcome.deliveries[name] for name in carriers[1:]
+    outcome = engine_placement(protocol, m, names, frame, combo)
+    deliveries = outcome.deliveries
+    witness_count = deliveries[-1] if has_witness else 0
+    return (
+        deliveries[0],
+        deliveries[1 : len(carriers)],
+        witness_count,
+        outcome.attempts,
     )
-    witness_count = outcome.deliveries["wit"] if has_witness else 0
-    return (tx_count, faulted_counts, witness_count, outcome.attempts)
 
 
 def _header_class_run(
@@ -836,26 +891,13 @@ def _header_class_run(
     index: int,
 ) -> Tuple[int, int, int, int]:
     """One reduced engine run classifying a header equivalence class."""
-    from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-    from repro.faults.scenarios import run_single_frame_scenario
-
-    names = ["flt", "wit"] if role == "tx" else ["tx", "flt", "wit"][:n_eff]
-    nodes = [make_controller(protocol, name, m=m) for name in names]
-    fault = ViewFault("flt", Trigger(field=field_name, index=index), force=None)
-    outcome = run_single_frame_scenario(
-        "batchreplay-header-class",
-        nodes,
-        ScriptedInjector(view_faults=[fault]),
-        frame=frame,
-        record_bits=False,
-        max_bits=60000,
+    names = ("flt", "wit") if role == "tx" else ("tx", "flt", "wit")[:n_eff]
+    outcome = engine_placement(
+        protocol, m, names, frame, (("flt", field_name, index),)
     )
-    faulted_count = outcome.deliveries["flt"]
-    tx_count = outcome.deliveries[names[0]]
-    witness_count = (
-        outcome.deliveries["wit"] if "wit" in outcome.deliveries else tx_count
-    )
-    return (tx_count, faulted_count, witness_count, outcome.attempts)
+    counts = dict(zip(names, outcome.deliveries))
+    tx_count = outcome.deliveries[0]
+    return (tx_count, counts["flt"], counts.get("wit", tx_count), outcome.attempts)
 
 
 #: Display order of the provenance counters in stats lines.
@@ -904,26 +946,6 @@ def engine_share_notice(stats: Dict[str, int]) -> Optional[str]:
     )
     logger.info(message)
     return message
-
-
-def classify_placements(
-    protocol: str,
-    m: int,
-    node_names: Sequence[str],
-    combos: Sequence[Sequence[Site]],
-    payload: bytes,
-) -> List[Optional[Tuple]]:
-    """Batch counterpart of ``verification.classify_placement``.
-
-    Returns, per combo, the same picklable hit tuple (or None) the
-    engine-backed classifier produces.
-    """
-    evaluator = BatchReplayEvaluator(protocol, m, node_names, payload=payload)
-    outcomes = evaluator.evaluate(combos)
-    return [
-        evaluator.counterexample(combo, outcome)
-        for combo, outcome in zip(combos, outcomes)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.can.controller import CanController
+from repro.analysis.batchreplay import network_names, placement_evaluator
 from repro.can.fields import EOF
-from repro.can.frame import data_frame
 from repro.errors import AnalysisError
-from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-from repro.faults.scenarios import make_controller, run_single_frame_scenario
+from repro.faults.scenarios import make_controller
 
 #: A pattern assigns flipped view bits as (node_index, eof_index) pairs.
 Pattern = Tuple[Tuple[int, int], ...]
@@ -134,8 +132,6 @@ def enumerate_tail_patterns(
         payload so the simulated frame matches the ``tau_data`` the
         weights are computed against.
     """
-    if backend not in ("engine", "batch"):
-        raise AnalysisError("unknown backend %r (use 'engine' or 'batch')" % backend)
     if n_nodes < 2:
         raise AnalysisError("need at least a transmitter and a receiver")
     probe = make_controller(protocol, "probe", m=m)
@@ -144,7 +140,8 @@ def enumerate_tail_patterns(
         raise AnalysisError(
             "window of %d bits exceeds the %d-bit EOF" % (window, eof_length)
         )
-    node_names = ["tx"] + ["r%d" % i for i in range(1, n_nodes)]
+    node_names = network_names(n_nodes)
+    evaluator = placement_evaluator(backend, protocol, m, node_names, payload=payload)
     sites = [
         (node_index, eof_length - window + offset)
         for node_index in range(n_nodes)
@@ -162,68 +159,25 @@ def enumerate_tail_patterns(
         if max_flips is not None and size > max_flips:
             break
         patterns.extend(itertools.combinations(sites, size))
-    if backend == "batch":
-        from repro.analysis.batchreplay import BatchReplayEvaluator
-
-        evaluator = BatchReplayEvaluator(protocol, m, node_names, payload=payload)
-        combos = [
-            tuple(
-                (node_names[node_index], EOF, eof_index)
-                for node_index, eof_index in pattern
-            )
-            for pattern in patterns
-        ]
-        for pattern, outcome in zip(patterns, evaluator.evaluate(combos)):
-            result.outcomes.append(
-                PatternOutcome(
-                    pattern=tuple(pattern),
-                    consistent=outcome.consistent,
-                    inconsistent_omission=outcome.inconsistent_omission,
-                    double_reception=outcome.double_reception,
-                    attempts=outcome.attempts,
-                )
-            )
-        result.backend_stats = dict(evaluator.stats)
-        return result
-    for pattern in patterns:
+    combos = [
+        tuple(
+            (node_names[node_index], EOF, eof_index)
+            for node_index, eof_index in pattern
+        )
+        for pattern in patterns
+    ]
+    for pattern, outcome in zip(patterns, evaluator.evaluate(combos)):
         result.outcomes.append(
-            _simulate_pattern(protocol, m, node_names, pattern, payload)
+            PatternOutcome(
+                pattern=tuple(pattern),
+                consistent=outcome.consistent,
+                inconsistent_omission=outcome.inconsistent_omission,
+                double_reception=outcome.double_reception,
+                attempts=outcome.attempts,
+            )
         )
+    result.backend_stats = dict(evaluator.stats) or None
     return result
-
-
-def _simulate_pattern(
-    protocol: str,
-    m: int,
-    node_names: Sequence[str],
-    combo: Sequence[Tuple[int, int]],
-    payload: bytes = b"\x55",
-) -> PatternOutcome:
-    nodes: List[CanController] = [
-        make_controller(protocol, name, m=m) for name in node_names
-    ]
-    faults = [
-        ViewFault(
-            node_names[node_index],
-            Trigger(field=EOF, index=eof_index),
-            force=None,  # flip: an error inverts the node's view
-        )
-        for node_index, eof_index in combo
-    ]
-    scenario = run_single_frame_scenario(
-        "pattern",
-        nodes,
-        ScriptedInjector(view_faults=faults),
-        frame=data_frame(0x123, payload, message_id="m"),
-        record_bits=False,
-    )
-    return PatternOutcome(
-        pattern=tuple(combo),
-        consistent=scenario.consistent,
-        inconsistent_omission=scenario.inconsistent_omission,
-        double_reception=scenario.double_reception,
-        attempts=scenario.attempts,
-    )
 
 
 def equation4_tail_prediction(ber_star: float, n_nodes: int, tau_data: int) -> float:

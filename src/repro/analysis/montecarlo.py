@@ -29,11 +29,15 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional, Tuple
 
+from repro.analysis.batchreplay import (
+    merge_stats,
+    network_names,
+    placement_evaluator,
+)
 from repro.can.fields import EOF
 from repro.can.frame import data_frame
 from repro.errors import AnalysisError
 from repro.faults.bit_errors import RandomViewErrorInjector
-from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
 from repro.faults.scenarios import make_controller, run_single_frame_scenario
 from repro.parallel.pool import run_tasks
 from repro.parallel.seeds import (
@@ -128,7 +132,7 @@ class ChunkCounts:
     backend_stats: dict = field(default_factory=dict)
 
     def absorb_outcome(self, outcome) -> None:
-        """Fold one :class:`ScenarioOutcome` classification in."""
+        """Fold one scenario or placement classification in."""
         if outcome.inconsistent_omission:
             self.imo += 1
         if outcome.double_reception:
@@ -152,6 +156,7 @@ def tail_chunk(
     ``sites`` are ``(node name, EOF index)`` pairs; ``seed`` is the
     chunk's spawned child seed.
     """
+    evaluator = placement_evaluator(backend, protocol, m, node_names)
     rng = rng_from(seed)
     counts = ChunkCounts(trials=trials)
     # Draw the whole chunk as one (trials, sites) matrix.  The
@@ -173,31 +178,11 @@ def tail_chunk(
             last_trial = trial
         name, index = sites[site]
         groups[-1].append((name, EOF, index))
-    trial_combos = [tuple(group) for group in groups]
-    if not trial_combos:
+    if not groups:
         return counts
-    if backend == "batch":
-        from repro.analysis.batchreplay import BatchReplayEvaluator
-
-        evaluator = BatchReplayEvaluator(protocol, m, node_names)
-        for outcome in evaluator.evaluate(trial_combos):
-            counts.absorb_outcome(outcome)
-        counts.backend_stats = dict(evaluator.stats)
-        return counts
-    for combo in trial_combos:
-        faults = [
-            ViewFault(name, Trigger(field=field_name, index=index), force=None)
-            for name, field_name, index in combo
-        ]
-        nodes = [make_controller(protocol, name, m=m) for name in node_names]
-        outcome = run_single_frame_scenario(
-            "mc",
-            nodes,
-            ScriptedInjector(view_faults=faults),
-            frame=data_frame(0x123, b"\x55", message_id="m"),
-            record_bits=False,
-        )
+    for outcome in evaluator.evaluate(tuple(group) for group in groups):
         counts.absorb_outcome(outcome)
+    counts.backend_stats = dict(evaluator.stats)
     return counts
 
 
@@ -239,8 +224,6 @@ def _merge_counts(trials: int, parts: List[ChunkCounts]) -> MonteCarloResult:
         result.inconsistent += part.inconsistent
         result.no_fault_trials += part.no_fault_trials
         result.flips_total += part.flips_total
-    from repro.analysis.batchreplay import merge_stats
-
     result.backend_stats = merge_stats(part.backend_stats for part in parts) or None
     return result
 
@@ -283,13 +266,11 @@ def monte_carlo_tail(
     """
     if n_nodes < 2:
         raise AnalysisError("need at least two nodes")
-    if backend not in ("engine", "batch"):
-        raise AnalysisError("unknown backend %r (use 'engine' or 'batch')" % backend)
     probe = make_controller(protocol, "probe", m=m)
     eof_length = probe.config.eof_length
     if window > eof_length:
         raise AnalysisError("window exceeds the EOF length")
-    node_names = tuple(["tx"] + ["r%d" % i for i in range(1, n_nodes)])
+    node_names = network_names(n_nodes)
     sites = tuple(
         (name, eof_length - window + offset)
         for name in node_names
@@ -338,7 +319,7 @@ def monte_carlo_full(
     ``chunk_trials=None`` default): ``jobs`` never changes the counts,
     only the wall-clock time.
     """
-    node_names = tuple(["tx"] + ["r%d" % i for i in range(1, n_nodes)])
+    node_names = network_names(n_nodes)
     if chunk_trials is None:
         chunk_trials = _adaptive_chunk_trials(n_nodes)
     sizes = chunk_sizes(trials, chunk_trials)

@@ -96,10 +96,6 @@ def reliability_comparison(
     of :mod:`repro.analysis.batchreplay` — identical rates), then scale
     it to the profile's frame rate.
     """
-    if backend not in (None, "engine", "batch"):
-        raise AnalysisError(
-            "unknown backend %r (use None, 'engine' or 'batch')" % (backend,)
-        )
     if backend is None:
         new_rate = incidents_per_hour(
             p_new_scenario_per_frame(ber, profile.n_nodes, profile.frame_bits),

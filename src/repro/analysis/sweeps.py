@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence
 
+from repro.analysis.batchreplay import merge_stats, network_names
 from repro.analysis.overhead import (
     best_case_overhead_bits,
     worst_case_overhead_bits,
@@ -155,30 +156,23 @@ def ablation_row(
     backend: str = "engine",
 ) -> MAblationRow:
     """Compute one m-value row of the ablation (worker-side entry)."""
-    node_names = ["tx"] + ["r%d" % i for i in range(1, n_nodes)]
     tail = verify_consistency(
         "majorcan", m=m, n_nodes=n_nodes, max_flips=tail_flips, backend=backend
     )
     f1_closed: Optional[bool] = None
-    f1 = None
+    f1_stats: Optional[dict] = None
     if check_f1:
         f1 = verify_consistency(
             "majorcan",
             m=m,
             n_nodes=n_nodes,
             max_flips=1,
-            extra_sites=header_sites(node_names, data_bits=0),
+            extra_sites=header_sites(network_names(n_nodes), data_bits=0),
             include_window=True,
             backend=backend,
         )
         f1_closed = f1.holds
-    stats: Optional[dict] = None
-    if backend == "batch":
-        from repro.analysis.batchreplay import merge_stats
-
-        stats = merge_stats(
-            [tail.backend_stats, f1.backend_stats if f1 is not None else None]
-        )
+        f1_stats = f1.backend_stats
     return MAblationRow(
         m=m,
         best_case_bits=best_case_overhead_bits(m),
@@ -186,7 +180,7 @@ def ablation_row(
         tail_errors_verified=tail.runs,
         tail_consistent=tail.holds,
         f1_channel_closed=f1_closed,
-        backend_stats=stats,
+        backend_stats=merge_stats([tail.backend_stats, f1_stats]) or None,
     )
 
 

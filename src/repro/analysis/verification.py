@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.analysis.batchreplay import merge_stats, network_names, placement_evaluator
 from repro.can.fields import (
     ACK_DELIM,
     ACK_SLOT,
@@ -34,12 +35,10 @@ from repro.can.fields import (
     EOF,
     SAMPLING,
 )
-from repro.can.frame import data_frame
 from repro.errors import AnalysisError
-from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
-from repro.faults.scenarios import make_controller, run_single_frame_scenario
+from repro.faults.scenarios import make_controller
 from repro.parallel.pool import effective_jobs, run_tasks
-from repro.parallel.seeds import adaptive_chunk
+from repro.parallel.seeds import BATCH_DISCOUNT, adaptive_chunk
 
 #: A fault site: (node name, field label, index within the field).
 Site = Tuple[str, str, int]
@@ -51,17 +50,14 @@ Site = Tuple[str, str, int]
 #: default ``chunk_placements=None`` adapts this baseline to the node
 #: count and — because, unlike the Monte-Carlo spawn tree, the
 #: partition cannot change verification results — to the backend: the
-#: vectorised batch backend classifies a placement roughly 16x faster,
-#: so its chunks grow by that factor to keep per-chunk wall-clock
-#: comparable.
+#: vectorised batch backend classifies a placement roughly
+#: :data:`~repro.parallel.seeds.BATCH_DISCOUNT` times faster, so its
+#: chunks grow by that factor to keep per-chunk wall-clock comparable.
 CHUNK_PLACEMENTS = 64
 
-#: Per-placement cost discount of the batch backend relative to the
-#: engine, used by the adaptive chunk resolution.
-_BATCH_DISCOUNT = 16.0
-
-#: Placements per array pass on the serial batch backend — large slabs
-#: amortise the per-pass setup without changing the enumeration order.
+#: Placements per ``evaluate`` call on the serial path — large slabs
+#: amortise the batch backend's per-pass setup without changing the
+#: enumeration order (the engine backend classifies them one by one).
 _BATCH_SLAB = 2048
 
 
@@ -208,9 +204,10 @@ def verify_consistency(
         raise AnalysisError("need a transmitter and at least one receiver")
     if max_flips < 1:
         raise AnalysisError("max_flips must be at least 1")
-    if backend not in ("engine", "batch"):
-        raise AnalysisError("unknown backend %r (use 'engine' or 'batch')" % backend)
-    node_names = ["tx"] + ["r%d" % i for i in range(1, n_nodes)]
+    node_names = network_names(n_nodes)
+    # Built on the parallel path too: it rejects an unknown backend
+    # before any chunk is shipped to a worker.
+    evaluator = placement_evaluator(backend, protocol, m, node_names, payload=payload)
     probe = make_controller(protocol, "probe", m=m)
     window_start = getattr(probe, "window_start", None) if include_window else None
     window_end = getattr(probe, "window_end", None) if include_window else None
@@ -224,7 +221,7 @@ def verify_consistency(
     if chunk_placements is None:
         cost_units = n_nodes / 3.0
         if backend == "batch":
-            cost_units /= _BATCH_DISCOUNT
+            cost_units /= BATCH_DISCOUNT
         chunk_placements = adaptive_chunk(CHUNK_PLACEMENTS, cost_units)
     result = VerificationResult(
         protocol=protocol,
@@ -238,40 +235,25 @@ def verify_consistency(
         itertools.combinations(sites, size) for size in range(1, max_flips + 1)
     )
     if stop_at_first or effective_jobs(jobs) == 1:
-        if backend == "batch":
-            from repro.analysis.batchreplay import BatchReplayEvaluator
-
-            evaluator = BatchReplayEvaluator(protocol, m, node_names, payload=payload)
-            result.backend_stats = evaluator.stats
-            for chunk in _chunked(combos, _BATCH_SLAB):
-                outcomes = evaluator.evaluate(chunk)
-                for combo, outcome in zip(chunk, outcomes):
-                    result.runs += 1
-                    hit = evaluator.counterexample(combo, outcome)
-                    if hit is not None:
-                        result.counterexamples.append(Counterexample(*hit))
-                        if stop_at_first:
-                            return result
-            return result
-        for combo in combos:
-            result.runs += 1
-            hit = classify_placement(protocol, m, node_names, combo, payload)
-            if hit is not None:
-                result.counterexamples.append(Counterexample(*hit))
-                if stop_at_first:
-                    return result
+        result.backend_stats = evaluator.stats or None
+        for chunk in _chunked(combos, _BATCH_SLAB):
+            for combo, outcome in zip(chunk, evaluator.evaluate(chunk)):
+                result.runs += 1
+                hit = evaluator.counterexample(combo, outcome)
+                if hit is not None:
+                    result.counterexamples.append(Counterexample(*hit))
+                    if stop_at_first:
+                        return result
         return result
     chunks = [tuple(chunk) for chunk in _chunked(combos, chunk_placements)]
     tasks = [
-        partial(verify_chunk, protocol, m, tuple(node_names), chunk, payload, backend)
+        partial(verify_chunk, protocol, m, node_names, chunk, payload, backend)
         for chunk in chunks
     ]
     parts = run_tasks(tasks, jobs)
     result.runs = sum(len(chunk) for chunk in chunks)
     for hits, _ in parts:
         result.counterexamples.extend(Counterexample(*hit) for hit in hits)
-    from repro.analysis.batchreplay import merge_stats
-
     result.backend_stats = merge_stats(stats for _, stats in parts) or None
     return result
 
@@ -286,25 +268,16 @@ def verify_chunk(
 ) -> Tuple[List[Tuple], Dict[str, int]]:
     """Classify one chunk of flip placements (experiment E-VER).
 
-    Returns the chunk's counterexample tuples (see
-    :func:`classify_placement`) in placement order, and the batch
-    backend's provenance counters (empty on the engine backend).
+    Returns the chunk's picklable ``Counterexample`` argument tuples in
+    placement order, and the evaluator's provenance counters (empty on
+    the engine backend).
     """
-    if backend == "batch":
-        from repro.analysis.batchreplay import BatchReplayEvaluator
-
-        evaluator = BatchReplayEvaluator(protocol, m, node_names, payload=payload)
-        outcomes = evaluator.evaluate(combos)
-        hits = [
-            evaluator.counterexample(combo, outcome)
-            for combo, outcome in zip(combos, outcomes)
-        ]
-        return [hit for hit in hits if hit is not None], dict(evaluator.stats)
+    evaluator = placement_evaluator(backend, protocol, m, node_names, payload=payload)
     hits = [
-        classify_placement(protocol, m, node_names, combo, payload)
-        for combo in combos
+        evaluator.counterexample(combo, outcome)
+        for combo, outcome in zip(combos, evaluator.evaluate(combos))
     ]
-    return [hit for hit in hits if hit is not None], {}
+    return [hit for hit in hits if hit is not None], dict(evaluator.stats)
 
 
 def _chunked(combos: Iterator, size: int) -> Iterator[List]:
@@ -313,45 +286,3 @@ def _chunked(combos: Iterator, size: int) -> Iterator[List]:
         if not chunk:
             return
         yield chunk
-
-
-def classify_placement(
-    protocol: str,
-    m: int,
-    node_names: Sequence[str],
-    combo: Sequence[Site],
-    payload: bytes,
-) -> Optional[Tuple]:
-    """Simulate one flip placement; return Counterexample args or None.
-
-    Returns plain picklable data (not a :class:`Counterexample`) so
-    :func:`verify_chunk` can ship results across the process boundary
-    cheaply.
-    """
-    nodes = [make_controller(protocol, name, m=m) for name in node_names]
-    faults = [
-        ViewFault(name, Trigger(field=field_name, index=index), force=None)
-        for name, field_name, index in combo
-    ]
-    outcome = run_single_frame_scenario(
-        "verify",
-        nodes,
-        ScriptedInjector(view_faults=faults),
-        frame=data_frame(0x123, payload, message_id="m"),
-        record_bits=False,
-        max_bits=60000,
-    )
-    if outcome.inconsistent_omission:
-        kind = "imo"
-    elif outcome.double_reception:
-        kind = "double"
-    elif not outcome.consistent:
-        kind = "inconsistent"
-    else:
-        return None
-    return (
-        tuple(combo),
-        tuple(sorted(outcome.deliveries.items())),
-        outcome.attempts,
-        kind,
-    )

@@ -251,12 +251,12 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.analysis.batchreplay import network_names
     from repro.analysis.verification import header_sites, verify_consistency
 
     extra = ()
     if args.include_header:
-        names = ["tx"] + ["r%d" % i for i in range(1, args.nodes)]
-        extra = header_sites(names)
+        extra = header_sites(network_names(args.nodes))
     result = verify_consistency(
         protocol=args.protocol or "majorcan",
         m=args.m,

@@ -350,10 +350,13 @@ class SweepSpec:
             cells = kwargs["cells"]
             if not isinstance(cells, (list, tuple)):
                 raise ConfigurationError("cells must be a list of objects")
-            kwargs["cells"] = tuple(
-                cell if isinstance(cell, SweepCell) else SweepCell(**cell)
-                for cell in cells
-            )
+            try:
+                kwargs["cells"] = tuple(
+                    cell if isinstance(cell, SweepCell) else SweepCell(**cell)
+                    for cell in cells
+                )
+            except TypeError as exc:
+                raise ConfigurationError("invalid cells entry: %s" % exc)
         for name in (
             "protocols",
             "m_values",
@@ -367,6 +370,10 @@ class SweepSpec:
             "noise_bers",
         ):
             if name in kwargs:
+                if not isinstance(kwargs[name], (list, tuple)):
+                    raise ConfigurationError(
+                        "axis %r must be a list, got %r" % (name, kwargs[name])
+                    )
                 kwargs[name] = tuple(kwargs[name])
         try:
             return cls(**kwargs)

@@ -27,7 +27,7 @@ import pytest
 from repro.analysis import batchreplay
 from repro.analysis.batchreplay import (
     BatchReplayEvaluator,
-    classify_placements,
+    EngineEvaluator,
     tail_shape,
 )
 from repro.analysis.enumeration import enumerate_tail_patterns
@@ -371,6 +371,22 @@ class TestWiredEntryPoints:
         )
         assert len(result.counterexamples) == 1
 
+    def test_engine_stop_at_first_runs_no_extra_placements(self, monkeypatch):
+        runs = []
+        oracle = batchreplay.engine_placement
+
+        def counting(*args):
+            runs.append(args[-1])
+            return oracle(*args)
+
+        monkeypatch.setattr(batchreplay, "engine_placement", counting)
+        result = verify_consistency(
+            "can", m=5, n_nodes=3, max_flips=2, stop_at_first=True
+        )
+        assert result.counterexamples[0].sites == runs[-1]
+        assert len(runs) == result.runs
+        assert result.backend_stats is None
+
     def test_enumerate_equality(self):
         for protocol in ("can", "minorcan", "majorcan"):
             engine = enumerate_tail_patterns(
@@ -502,17 +518,23 @@ class TestWiredEntryPoints:
         assert batch.backend_stats is not None
         assert batch.backend_stats["engine"] == 0
 
-    def test_classify_placements_hit_tuples(self):
-        from repro.analysis.verification import classify_placement
-
+    def test_batch_and_engine_evaluators_give_the_same_hit_tuples(self):
         node_names = ("tx", "r1", "r2")
         sites = universe("can", 5, list(node_names))
-        combos = [(site,) for site in sites]
-        hits = classify_placements("can", 5, node_names, combos, b"\x55")
-        for combo, hit in zip(combos, hits):
-            assert hit == classify_placement(
-                "can", 5, node_names, combo, b"\x55"
-            )
+        combos = [(site,) for site in sites] + list(
+            itertools.combinations(sites[::4], 2)
+        )
+        hits = {}
+        for evaluator in (
+            BatchReplayEvaluator("can", 5, node_names),
+            EngineEvaluator("can", 5, node_names),
+        ):
+            hits[type(evaluator)] = [
+                evaluator.counterexample(combo, outcome)
+                for combo, outcome in zip(combos, evaluator.evaluate(combos))
+            ]
+        assert hits[BatchReplayEvaluator] == hits[EngineEvaluator]
+        assert any(hits[EngineEvaluator]), "the CAN 2-flip universe has hits"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(AnalysisError):
@@ -643,47 +665,32 @@ def _strip_stats(output):
 
 
 class TestCli:
-    def test_verify_backend_batch(self, capsys):
-        engine_rc = main(["verify", "--protocol", "can", "--flips", "1"])
-        engine_out = capsys.readouterr().out
-        batch_rc = main(
-            ["verify", "--protocol", "can", "--flips", "1", "--backend", "batch"]
-        )
+    @pytest.mark.parametrize(
+        "argv, rc",
+        [
+            (["verify", "--protocol", "can", "--flips", "1"], 1),
+            (["montecarlo", "--trials", "64", "--seed", "5"], 0),
+            (["enumerate"], 0),
+            (["ablation", "--m-values", "3", "5"], 0),
+            (["reliability"], 0),
+            (["campaign", "--rounds", "12"], 0),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else None,
+    )
+    def test_engine_output_equals_batch_without_stats(self, capsys, argv, rc):
+        assert main(argv + ["--backend", "batch"]) == rc
         batch_out = capsys.readouterr().out
-        assert engine_rc == batch_rc == 1
-        assert engine_out == _strip_stats(batch_out)
+        assert main(argv + ["--backend", "engine"]) == rc
+        # ``reliability`` names its rate source in the heading.
+        expected = _strip_stats(batch_out).replace(
+            "on the batch backend", "on the engine backend"
+        )
+        assert capsys.readouterr().out == expected
         assert "backend stats: batch=" in batch_out
 
     def test_engine_backend_prints_no_stats(self, capsys):
         main(["verify", "--protocol", "can", "--flips", "1"])
         assert "backend stats:" not in capsys.readouterr().out
-
-    def test_montecarlo_backend_batch(self, capsys):
-        assert (
-            main(
-                [
-                    "montecarlo",
-                    "--trials",
-                    "64",
-                    "--seed",
-                    "5",
-                    "--backend",
-                    "batch",
-                ]
-            )
-            == 0
-        )
-        batch_out = capsys.readouterr().out
-        assert main(["montecarlo", "--trials", "64", "--seed", "5"]) == 0
-        assert capsys.readouterr().out == _strip_stats(batch_out)
-        assert "backend stats: batch=" in batch_out
-
-    def test_enumerate_backend_batch(self, capsys):
-        assert main(["enumerate", "--backend", "batch"]) == 0
-        batch_out = capsys.readouterr().out
-        assert main(["enumerate"]) == 0
-        assert capsys.readouterr().out == _strip_stats(batch_out)
-        assert "backend stats: batch=" in batch_out
 
     def test_backend_choices_validated(self):
         with pytest.raises(SystemExit):

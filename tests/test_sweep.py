@@ -97,6 +97,45 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigurationError):
             SweepSpec.from_dict({"name": "x", "grid": "dense"})
 
+    @pytest.mark.parametrize(
+        "fields, key",
+        [
+            ({"protocols": 5}, "protocols"),
+            ({"protocols": "can"}, "protocols"),
+            ({"bers": None}, "bers"),
+            ({"surface": "traffic", "loads": 3}, "loads"),
+            ({"cells": [5]}, "cells"),
+            (
+                {
+                    "cells": [
+                        {
+                            "protocol": "can",
+                            "m": 5,
+                            "ber": 1e-5,
+                            "bit_rate": 1e6,
+                            "bus_length_m": 40.0,
+                            "payload": 1,
+                            "n_nodes": 3,
+                            "colour": "red",
+                        }
+                    ]
+                },
+                "colour",
+            ),
+        ],
+        ids=[
+            "int-axis",
+            "string-axis",
+            "null-axis",
+            "int-traffic-axis",
+            "non-object-cell",
+            "unknown-cell-key",
+        ],
+    )
+    def test_malformed_spec_names_the_key(self, fields, key):
+        with pytest.raises(ConfigurationError, match=key):
+            SweepSpec.from_json(json.dumps(dict({"name": "bad"}, **fields)))
+
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigurationError):
             SweepSpec.from_json("not json")
