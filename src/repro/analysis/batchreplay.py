@@ -11,17 +11,16 @@ it per placement; :class:`BatchReplayEvaluator` runs it only for what
 its models cannot represent.
 
 One engine run per placement re-simulates the whole frame bit by bit
-even though all the fault sites live in the frame *tail* (CRC
-delimiter, ACK slot, ACK delimiter, EOF, and the MajorCAN sampling
-window) and the pre-tail portion of every attempt is therefore
-identical and error-free.  The batch replay exploits that: it
-expands the cached :class:`repro.can.encoding.WireProgram` into flat
-row-matrices, precompiles the fixed error-signalling shapes (error and
-overload flags are always :data:`FLAG_LENGTH` dominant bits, delimiters
-are fixed recessive runs per config — the same table treatment the
-transmit program already gets), and replays **batches of placements in
-lockstep array passes** over a tail-only micro-model of the controller
-state machine.
+even though all the tail fault sites (CRC delimiter, ACK slot, ACK
+delimiter, EOF, and the MajorCAN sampling window) live after an
+identical, error-free pre-tail prefix.  The batch replay exploits that:
+it reads the tail layout off the cached
+:class:`repro.can.encoding.WireProgram`, treats the error-signalling
+sequences as fixed run lengths per config (error and overload flags
+are always :data:`FLAG_LENGTH` dominant bits, delimiters fixed
+recessive runs — the same table treatment the transmit program already
+gets), and replays each tail placement on :func:`_simulate_scalar`, a
+tail-only micro-model of the controller state machine.
 
 The micro-model is *exact by construction* on the placements it
 understands, and it refuses the rest:
@@ -31,40 +30,29 @@ understands, and it refuses the rest:
 * any situation outside the modelled envelope — an unexpected program
   layout, a fault field neither model announces, a dominant bit
   reaching an idle node outside the orchestrated retransmission
-  restart, or a step-budget overflow — *bails out* and the placement is
-  re-classified by the real engine (the oracle).
+  restart, or a step-budget overflow that a widened-budget retry does
+  not absorb — *bails out* and the placement is re-classified by the
+  real engine (the oracle).
 
-Header placements (the F1 desync universe: SOF through the CRC
-sequence, where a flip can add or remove a stuff condition and shift a
-receiver's parse of everything downstream) take a third path instead of
-bailing: the stuff-aware :func:`repro.can.encoding.header_shape`
-expansion materialises each site's post-flip restuffed parse, and
-single-flip placements are classified through a per-process cache of
-*reduced* engine runs — one run per equivalence class under receiver
-symmetry (all non-faulted in-sync receivers are bit-identical, and the
-wired-AND bus is invariant under duplicating identical drivers), with
-mid-frame DATA/CRC receiver flips further sharing one class per parse
-signature.  A full header universe costs a handful of two- or
-three-node runs instead of one n-node engine run per site.
+Combos are reduced before anything runs: duplicate triggers on one
+position cancel by parity (they all fire at the same first
+announcement, and a flip of a flip is the identity), and faulted
+receivers are relabelled into a canonical arrangement so one verdict
+serves every placement of the same fault groups over any receivers.
 
-Multi-flip combos compose the same machinery instead of bailing out:
-duplicate triggers on one position cancel by parity before anything
-runs (they all fire at the same first announcement, and a flip of a
-flip is the identity), faulted receivers are relabelled into a
-canonical arrangement so one verdict serves every placement of the
-same fault groups over any receivers, pure-tail multi-site placements
-ride the micro-model (with a widened-budget scalar retry for cascade
-overflows), and combos touching header sites classify through cached
-*reduced* runs over transmitter + distinct fault carriers + one
-witness.  The engine remains only for combos naming unknown nodes or
-fields outside every model.
+Combos touching a header site (the F1 desync universe: SOF through the
+CRC sequence, where a flip can add or remove a stuff condition and
+shift a receiver's parse of everything downstream) classify through
+cached *reduced* engine runs over transmitter + distinct fault carriers
++ one witness: all non-faulted in-sync receivers are bit-identical,
+and the wired-AND bus is invariant under duplicating identical drivers.
+A full header universe costs a handful of two- or three-node runs
+instead of one n-node engine run per site.  The full engine remains
+only for combos naming unknown nodes or fields outside every model.
 
-Two interchangeable simulators implement the same transition table: a
-numpy one evaluating ``(batch, node)`` arrays in single passes, and a
-pure-python scalar one that is cheaper on small batches (the choice is
-size-driven, at :data:`_ARRAY_BREAK_EVEN` fresh placements).  The
-differential suite pins both against the engine over the full tail-site
-universe of every corpus frame.
+The differential suite pins the micro-model and the reduced runs
+against the engine over the full tail-site universe of every corpus
+frame and the full header-site universe.
 """
 
 from __future__ import annotations
@@ -74,14 +62,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.can.fields import (
     ACK_DELIM,
     ACK_SLOT,
-    CRC,
     CRC_DELIM,
-    DATA,
     EOF,
     FLAG_LENGTH,
     INTERMISSION_LENGTH,
@@ -89,15 +73,13 @@ from repro.can.fields import (
 )
 from repro.can.frame import Frame, data_frame
 from repro.can.encoding import (
-    HEADER_KIND_OVERRUN,
     HEADER_SITE_FIELDS,
     OP_ACK,
     OP_EOF,
     OP_MATCH,
-    header_shape,
     wire_program,
 )
-from repro.errors import AnalysisError
+from repro.errors import check_backend
 from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
 from repro.faults.scenarios import make_controller, run_single_frame_scenario
 
@@ -139,11 +121,12 @@ _UNSUPPORTED = -2
 class TailShape:
     """Precompiled tail geometry for one (protocol, m, frame).
 
-    ``signal_shapes`` is the precompiled error-signalling table: flag
-    and delimiter sequences are fixed shapes per config, so the batch
-    replay treats them as run lengths instead of per-bit handlers —
-    the same treatment :func:`repro.can.encoding.wire_program` gives
-    the steady transmit path.
+    The error-signalling lengths come from the controller's
+    :meth:`signal_shape` table: flag and delimiter sequences are fixed
+    shapes per config, so the micro-model treats them as run lengths
+    instead of per-bit handlers — the same treatment
+    :func:`repro.can.encoding.wire_program` gives the steady transmit
+    path.
     """
 
     protocol: str
@@ -156,14 +139,11 @@ class TailShape:
     majority: int
     #: Index of ``(CRC_DELIM, 0)`` in the wire program (tail time 0).
     tail_offset: int
-    #: Keys per node: 3 pre-EOF bits + EOF + (MajorCAN) sampling window.
-    key_count: int
+    #: The ``(field, index)`` positions the program announces before
+    #: tail time 0: a header trigger fires only on one of these.
+    announced: frozenset
     #: Generous per-attempt step bound; overflow bails to the engine.
     attempt_cap: int
-    #: Full program levels as one flat int8 row.
-    levels_row: np.ndarray
-    #: Fixed signalling shapes: {"flag": 6, "delimiter": dl, ...}.
-    signal_shapes: Tuple[Tuple[str, int], ...]
     supported: bool
 
 
@@ -179,7 +159,6 @@ def tail_shape(protocol: str, m: int, frame: Frame) -> TailShape:
     window_end = signalling.extended_flag_end
     majority = getattr(probe, "majority", 0) or 0
     program = wire_program(frame, eof_length)
-    levels_row = np.asarray(program.bit_values, dtype=np.int8)
     supported = proto is not None
     tail_offset = 0
     expected_positions = [(CRC_DELIM, 0), (ACK_SLOT, 0), (ACK_DELIM, 0)]
@@ -196,9 +175,6 @@ def tail_shape(protocol: str, m: int, frame: Frame) -> TailShape:
             and list(program.ops[tail]) == expected_ops
             and all(value == 1 for value in program.bit_values[tail])
         )
-    key_count = 3 + eof_length
-    if proto == P_MAJOR:
-        key_count += window_end + 1
     attempt_cap = (
         (3 + eof_length)
         + (window_end + 2)
@@ -217,10 +193,8 @@ def tail_shape(protocol: str, m: int, frame: Frame) -> TailShape:
         window_end=window_end,
         majority=majority,
         tail_offset=tail_offset,
-        key_count=key_count,
+        announced=frozenset(program.positions[:tail_offset]),
         attempt_cap=attempt_cap,
-        levels_row=levels_row,
-        signal_shapes=signalling.shapes,
         supported=supported,
     )
 
@@ -384,8 +358,9 @@ class BatchReplayEvaluator(_Evaluator):
         self.shape = tail_shape(self.protocol, self.m, self.frame)
         self._node_index = {name: i for i, name in enumerate(self.node_names)}
         #: Outcome provenance counters: placements classified by the
-        #: array pass, the scalar micro-sim, the header class cache,
-        #: and the engine fallback.
+        #: tail micro-sim, by reduced header runs, and by the engine
+        #: fallback.  ``batch`` stays as a zero column: sweep cell
+        #: records store the dict, so its keys are part of their bytes.
         self.stats = {"batch": 0, "scalar": 0, "header": 0, "engine": 0}
 
     def evaluate(self, combos: Iterable[Sequence[Site]]) -> List[PlacementOutcome]:
@@ -394,10 +369,10 @@ class BatchReplayEvaluator(_Evaluator):
         Verdicts are memoised in the process-wide :data:`_COMBO_CACHE`
         under a *canonical* combo key: duplicate triggers cancel by
         parity, and fault groups are relabelled onto the first
-        receivers (receiver symmetry — see :meth:`_header_outcome`)
-        with the cached delivery tuple permuted back on retrieval.
-        Repeated placements — Monte-Carlo draws across chunks, the F1
-        universe re-visiting tail-window sites — therefore classify at
+        receivers (receiver symmetry — see :meth:`_reduced_outcome`) with
+        the cached delivery tuple permuted back on retrieval.  Repeated
+        placements — Monte-Carlo draws across chunks, the F1 universe
+        re-visiting tail-window sites — therefore classify at
         dictionary-lookup cost.  Cache hits count toward ``stats``
         under the provenance that first computed the verdict.
         """
@@ -410,6 +385,7 @@ class BatchReplayEvaluator(_Evaluator):
             if key is None:
                 # A site names an unknown node: exact semantics live in
                 # the engine and the combo is not worth caching.
+                self.stats["engine"] += 1
                 outcomes[position] = self._engine_outcome(combo)
                 continue
             cached = _COMBO_CACHE.get(key)
@@ -422,68 +398,15 @@ class BatchReplayEvaluator(_Evaluator):
                 continue
             pending[key] = [(position, back)]
             order.append((key, canon))
-        fast: List[Tuple[Tuple, Tuple[Site, ...], List[Tuple[int, int]]]] = []
         for key, canon in order:
             route, resolved = self._resolve(canon)
             if route == "fast":
-                fast.append((key, canon, resolved))
-            elif route == "header":
-                self._finish(
-                    outcomes, pending[key], key,
-                    self._header_outcome(resolved), "header",
-                )
+                outcome, stat = self._tail_outcome(canon, resolved)
             elif route == "reduced":
-                self._finish(
-                    outcomes, pending[key], key,
-                    self._reduced_outcome(resolved), "header",
-                )
+                outcome, stat = self._reduced_outcome(resolved), "header"
             else:
-                self._finish(
-                    outcomes, pending[key], key,
-                    self._engine_outcome(canon), "engine",
-                )
-        if fast:
-            # The array pass pays a fixed per-call cost (its lockstep
-            # loop runs to the slowest placement, ~60 ufunc dispatches
-            # per bus bit) that only amortises over wide batches; small
-            # batches are cheaper through the scalar micro-sim.
-            if len(fast) >= _ARRAY_BREAK_EVEN:
-                verdicts = _simulate_numpy(
-                    self.shape, len(self.node_names), [arm for _, _, arm in fast]
-                )
-                label = "batch"
-            else:
-                verdicts = [
-                    _simulate_scalar(self.shape, len(self.node_names), arm)
-                    for _, _, arm in fast
-                ]
-                label = "scalar"
-            for (key, canon, arm), verdict in zip(fast, verdicts):
-                stat = label
-                if verdict is None:
-                    # The common bail on dense placements is the step
-                    # budget: every flip can restart the frame and the
-                    # cascade outruns the nominal cap.  A single scalar
-                    # retry with a widened budget stays exact (same
-                    # transition table, more steps) and keeps these off
-                    # the engine; genuine envelope violations bail
-                    # again and fall through to the oracle.
-                    verdict = _simulate_scalar(
-                        self.shape, len(self.node_names), arm, cap_scale=8
-                    )
-                    stat = "scalar"
-                if verdict is None:
-                    self._finish(
-                        outcomes, pending[key], key,
-                        self._engine_outcome(canon), "engine",
-                    )
-                else:
-                    deliveries, attempts = verdict
-                    self.stats[stat] += 1
-                    outcome = PlacementOutcome(
-                        deliveries=deliveries, attempts=attempts, via="batch"
-                    )
-                    self._finish(outcomes, pending[key], key, outcome, stat)
+                outcome, stat = self._engine_outcome(canon), "engine"
+            self._finish(outcomes, pending[key], key, outcome, stat)
         return outcomes  # type: ignore[return-value]
 
     # -- internals -----------------------------------------------------
@@ -587,25 +510,42 @@ class BatchReplayEvaluator(_Evaluator):
         """Record a fresh canonical verdict and fan it out to waiters."""
         entry = (outcome.deliveries, outcome.attempts, stat)
         bounded_put(_COMBO_CACHE, key, entry)
-        first = True
+        self.stats[stat] += len(waiters)
         for position, back in waiters:
-            if not first:
-                self.stats[stat] += 1
-            first = False
             outcomes[position] = self._expand(entry, back)
 
-    def _header_shape(self):
-        return header_shape(self.frame, self.shape.eof_length)
+    def _tail_outcome(
+        self, combo: Sequence[Site], armed: Sequence[Tuple[int, int]]
+    ) -> Tuple[PlacementOutcome, str]:
+        """Classify a pure tail placement on the micro-model.
+
+        The common bail on dense placements is the step budget: every
+        flip can restart the frame and the cascade outruns the nominal
+        cap.  A single retry with a widened budget stays exact (same
+        transition table, more steps) and keeps these off the engine;
+        genuine envelope violations bail again and fall through to the
+        oracle.
+        """
+        n = len(self.node_names)
+        verdict = _simulate_scalar(self.shape, n, armed)
+        if verdict is None:
+            verdict = _simulate_scalar(self.shape, n, armed, cap_scale=8)
+        if verdict is None:
+            return self._engine_outcome(combo), "engine"
+        deliveries, attempts = verdict
+        outcome = PlacementOutcome(
+            deliveries=deliveries, attempts=attempts, via="batch"
+        )
+        return outcome, "scalar"
 
     def _resolve(self, combo: Sequence[Site]) -> Tuple[str, object]:
-        """Route a combo to one of the four classification paths.
+        """Route a combo to one of the three classification paths.
 
         Returns ``("fast", armed_keys)`` for pure tail placements,
-        ``("header", (node, field, index))`` for a single announced
-        header-site flip, ``("reduced", (header_hits, tail_sites))``
-        for multi-fault combos touching a header site, and
-        ``("engine", None)`` for anything outside the modelled envelope
-        (unknown nodes or fields, unexpected program layouts).
+        ``("reduced", (header_hits, tail_sites))`` for combos touching
+        an announced header site, and ``("engine", None)`` for anything
+        outside the modelled envelope (unknown nodes or fields,
+        unexpected program layouts).
         Duplicate triggers never reach this point — :meth:`_canonical`
         cancels them by parity before the combo is resolved.
 
@@ -630,15 +570,12 @@ class BatchReplayEvaluator(_Evaluator):
         header_hits: List[Tuple[int, str, int]] = []
         silent: List[Tuple[int, str, int]] = []
         live_nodes = set()
-        shape = None
         for name, field_name, index in combo:
             node = self._node_index.get(name)
             if node is None:
                 return ("engine", None)
             if field_name in HEADER_SITE_FIELDS:
-                if shape is None:
-                    shape = self._header_shape()
-                if (field_name, index) in shape.announced:
+                if (field_name, index) in self.shape.announced:
                     header_hits.append((node, field_name, index))
                     live_nodes.add(node)
                 else:
@@ -654,85 +591,24 @@ class BatchReplayEvaluator(_Evaluator):
             live_nodes.add(node)
         header_hits += [site for site in silent if site[0] in live_nodes]
         if header_hits:
-            if (
-                len(header_hits) == 1
-                and not armed
-                and len(self.node_names) >= 2
-            ):
-                return ("header", header_hits[0])
             return ("reduced", (tuple(header_hits), tuple(tail_sites)))
         return ("fast", armed)
-
-    def _header_outcome(
-        self, hit: Tuple[int, str, int]
-    ) -> PlacementOutcome:
-        """Classify a single announced header-site flip exactly.
-
-        Rests on receiver symmetry: the controllers are deterministic
-        and a view fault never disturbs the bus until the faulted node
-        itself drives, so every non-faulted in-sync receiver behaves
-        bit-identically, and the wired-AND bus is invariant under
-        replacing ``k`` identical receivers with one.  The full n-node
-        outcome therefore follows exactly from a *reduced* engine run:
-        faulted transmitter + one witness receiver (role ``tx``), or
-        transmitter + faulted receiver + one witness (role ``rx``,
-        two nodes when no witness exists).  Reduced verdicts are cached
-        per equivalence class in :data:`_HEADER_CLASS_CACHE`; receiver
-        flips in the mid-frame DATA/CRC fields additionally share one
-        class per :class:`~repro.can.encoding.HeaderSiteRow` parse
-        signature (identical flipped-stream trajectories drive the
-        faulted receiver — and hence the whole bus — identically).
-        """
-        node, field_name, index = hit
-        n = len(self.node_names)
-        role = "tx" if node == 0 else "rx"
-        if role == "tx":
-            n_eff = 2
-            class_key: Tuple = ("site", field_name, index)
-        else:
-            n_eff = 2 if n == 2 else 3
-            row = self._header_shape().by_site[(field_name, index)]
-            if field_name in (DATA, CRC) and row.kind != HEADER_KIND_OVERRUN:
-                class_key = ("sig", row.signature)
-            else:
-                class_key = ("site", field_name, index)
-        cache_key = (self.protocol, self.m, self.frame, role, n_eff, class_key)
-        verdict = _HEADER_CLASS_CACHE.get(cache_key)
-        if verdict is None:
-            verdict = _header_class_run(
-                self.protocol, self.m, self.frame, role, n_eff,
-                field_name, index,
-            )
-            bounded_put(_HEADER_CLASS_CACHE, cache_key, verdict)
-        tx_count, faulted_count, witness_count, attempts = verdict
-        if role == "tx":
-            deliveries = tuple(
-                faulted_count if i == 0 else witness_count for i in range(n)
-            )
-        else:
-            deliveries = tuple(
-                tx_count if i == 0
-                else (faulted_count if i == node else witness_count)
-                for i in range(n)
-            )
-        self.stats["header"] += 1
-        return PlacementOutcome(
-            deliveries=deliveries, attempts=attempts, via="batch"
-        )
 
     def _reduced_outcome(
         self,
         spec: Tuple[Tuple[Tuple[int, str, int], ...], Tuple[Tuple[int, str, int], ...]],
     ) -> PlacementOutcome:
-        """Classify a multi-fault combo touching header sites exactly.
+        """Classify a combo touching announced header sites exactly.
 
-        Same receiver-symmetry argument as :meth:`_header_outcome`,
-        generalised to several fault carriers: the full bus is
-        invariant under collapsing all clean receivers into a single
-        witness, so the n-node verdict follows from one *reduced*
-        engine run over transmitter + the distinct faulted receivers +
-        one witness (the witness is dropped when every receiver is
-        faulted — its ACK and error flags would change the bus).
+        Rests on receiver symmetry: the controllers are deterministic
+        and a view fault never disturbs the bus until the faulted node
+        itself drives, so every non-faulted in-sync receiver behaves
+        bit-identically, and the wired-AND bus is invariant under
+        collapsing all clean receivers into a single witness.  The
+        n-node verdict therefore follows from one *reduced* engine run
+        over transmitter + the distinct faulted receivers + one witness
+        (the witness is dropped when every receiver is faulted — its
+        ACK and error flags would change the bus).
         Verdicts are cached per fault-group arrangement in
         :data:`_REDUCED_CACHE`; combined with the canonical relabelling
         in :meth:`_canonical`, one run serves every placement of the
@@ -744,9 +620,6 @@ class BatchReplayEvaluator(_Evaluator):
         n = len(self.node_names)
         k = len(rx_nodes)
         has_witness = k < n - 1
-        label = {0: "tx"}
-        for j, node in enumerate(rx_nodes, start=1):
-            label[node] = "f%d" % j
         groups = tuple(
             tuple((f, i) for node2, f, i in sites if node2 == node)
             for node in [0] + rx_nodes
@@ -764,30 +637,22 @@ class BatchReplayEvaluator(_Evaluator):
             tx_count if i == 0 else by_node.get(i, witness_count)
             for i in range(n)
         )
-        self.stats["header"] += 1
         return PlacementOutcome(
             deliveries=deliveries, attempts=attempts, via="batch"
         )
 
     def _engine_outcome(self, combo: Sequence[Site]) -> PlacementOutcome:
-        self.stats["engine"] += 1
         return engine_placement(
             self.protocol, self.m, self.node_names, self.frame, combo
         )
 
 
-#: Reduced-run verdicts per header equivalence class, keyed by
-#: ``(protocol, m, frame, role, n_eff, class_key)`` and holding
-#: ``(tx_count, faulted_count, witness_count, attempts)``.  Module-level
-#: so every evaluator in a process (and every chunk a long-lived pool
-#: worker runs) shares one cache; entries are tiny tuples.
-_HEADER_CLASS_CACHE: Dict[Tuple, Tuple[int, int, int, int]] = {}
-
-#: Reduced-run verdicts per multi-fault group arrangement, keyed by
+#: Reduced-run verdicts per fault-group arrangement, keyed by
 #: ``(protocol, m, frame, groups, has_witness)`` — ``groups`` being the
 #: per-carrier fault-site tuples, transmitter first — and holding
-#: ``(tx_count, faulted_counts, witness_count, attempts)``.  Shared
-#: process-wide like the single-hit class cache above.
+#: ``(tx_count, faulted_counts, witness_count, attempts)``.  Module-level
+#: so every evaluator in a process (and every chunk a long-lived pool
+#: worker runs) shares one cache; entries are tiny tuples.
 _REDUCED_CACHE: Dict[Tuple, Tuple[int, Tuple[int, ...], int, int]] = {}
 
 #: Final verdicts per canonical placement, keyed by
@@ -816,15 +681,8 @@ def bounded_put(cache: Dict, key, value) -> None:
     cache[key] = value
 
 
-#: Minimum fresh-placement batch for the numpy array pass; below this
-#: the scalar micro-sim's ~40us/placement beats the array loop's fixed
-#: per-call overhead (measured crossover is ~150 placements).
-_ARRAY_BREAK_EVEN = 96
-
-
 def clear_caches() -> None:
     """Empty the process-wide verdict caches (benchmarks and tests)."""
-    _HEADER_CLASS_CACHE.clear()
     _REDUCED_CACHE.clear()
     _COMBO_CACHE.clear()
 
@@ -842,11 +700,8 @@ def placement_evaluator(
     Both backends classify every placement identically; the batch one
     records its provenance split in ``stats``.
     """
+    check_backend(backend)
     evaluators = {"engine": EngineEvaluator, "batch": BatchReplayEvaluator}
-    if backend not in evaluators:
-        raise AnalysisError(
-            "unknown backend %r (use 'engine' or 'batch')" % (backend,)
-        )
     return evaluators[backend](protocol, m, node_names, payload=payload, frame=frame)
 
 
@@ -879,25 +734,6 @@ def _reduced_class_run(
         witness_count,
         outcome.attempts,
     )
-
-
-def _header_class_run(
-    protocol: str,
-    m: int,
-    frame: Frame,
-    role: str,
-    n_eff: int,
-    field_name: str,
-    index: int,
-) -> Tuple[int, int, int, int]:
-    """One reduced engine run classifying a header equivalence class."""
-    names = ("flt", "wit") if role == "tx" else ("tx", "flt", "wit")[:n_eff]
-    outcome = engine_placement(
-        protocol, m, names, frame, (("flt", field_name, index),)
-    )
-    counts = dict(zip(names, outcome.deliveries))
-    tx_count = outcome.deliveries[0]
-    return (tx_count, counts["flt"], counts.get("wit", tx_count), outcome.attempts)
 
 
 #: Display order of the provenance counters in stats lines.
@@ -949,7 +785,7 @@ def engine_share_notice(stats: Dict[str, int]) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Pure-python scalar micro-simulator (small batches and budget retries)
+# The tail micro-simulator
 # ---------------------------------------------------------------------------
 
 
@@ -1190,246 +1026,3 @@ def _simulate_scalar(
                     flag[j] = drem[j] = ipos[j] = votes[j] = 0
                     first[j] = defer[j] = samp[j] = False
     return None  # step budget exhausted
-
-
-# ---------------------------------------------------------------------------
-# Numpy batched micro-simulator: (batch, node) arrays, single passes
-# ---------------------------------------------------------------------------
-
-
-def _simulate_numpy(
-    shape: TailShape,
-    n_nodes: int,
-    placements: Sequence[Sequence[Tuple[int, int]]],
-) -> List[Optional[Tuple[Tuple[int, ...], int]]]:
-    """Replay a batch of placements in lockstep array passes.
-
-    Semantically identical to :func:`_simulate_scalar`; each loop
-    iteration advances *every* live placement by one bus bit with
-    whole-array operations.
-    """
-    batch = len(placements)
-    if batch == 0:
-        return []
-    n = n_nodes
-    eof = shape.eof_length
-    last = eof - 1
-    dl = shape.delimiter_length
-    proto = shape.proto
-    mm = shape.majority
-    ws = shape.window_start
-    we = shape.window_end
-    quiet_base = 3 + eof
-
-    armed = np.zeros((batch, n, shape.key_count), dtype=bool)
-    max_flips = 0
-    for b, pairs in enumerate(placements):
-        max_flips = max(max_flips, len(pairs))
-        for node, key in pairs:
-            armed[b, node, key] = True
-
-    st = np.full((batch, n), RX_PROG, dtype=np.int8)
-    st[:, 0] = TX_PROG
-    flag = np.zeros((batch, n), dtype=np.int16)
-    drem = np.zeros((batch, n), dtype=np.int16)
-    ipos = np.zeros((batch, n), dtype=np.int16)
-    first = np.zeros((batch, n), dtype=bool)
-    defer = np.zeros((batch, n), dtype=bool)
-    samp = np.zeros((batch, n), dtype=bool)
-    votes = np.zeros((batch, n), dtype=np.int16)
-    deliver = np.zeros((batch, n), dtype=np.int32)
-    pending = np.ones(batch, dtype=bool)
-    attempts = np.ones(batch, dtype=np.int32)
-    t = np.zeros(batch, dtype=np.int32)
-    bail = np.zeros(batch, dtype=bool)
-    done = np.zeros(batch, dtype=bool)
-
-    cap = (max_flips + 2) * shape.attempt_cap + 16
-    for _ in range(cap):
-        act = ~(bail | done)
-        if not act.any():
-            break
-        act_n = act[:, None]
-        tt = t[:, None]
-        # Drive phase.
-        dominant_state = (
-            (st == FLAG) | (st == OVL_FLAG) | (st == MAJ_FLAG) | (st == MAJ_EXT)
-        )
-        drives = dominant_state | ((st == RX_PROG) & (tt == 1))
-        bus = (drives & act_n).any(axis=1)
-        # Fault firing.
-        prog = (st == TX_PROG) | (st == RX_PROG)
-        key = np.where(prog & act_n, tt, -1)
-        if proto == P_MAJOR:
-            clock = tt - 2
-            quiet = (st == MAJ_QUIET) & (clock >= 0) & (clock <= we) & act_n
-            key = np.where(quiet, quiet_base + clock, key)
-        b_idx, n_idx = np.nonzero(key >= 0)
-        k_idx = key[b_idx, n_idx]
-        fired_flat = armed[b_idx, n_idx, k_idx]
-        armed[b_idx, n_idx, k_idx] = False
-        fired = np.zeros((batch, n), dtype=bool)
-        fired[b_idx, n_idx] = fired_flat
-        seen = bus[:, None] ^ fired
-        # Bit phase: masks from the state snapshot are disjoint per node.
-        stv = st.copy()
-        m_tx = (stv == TX_PROG) & act_n
-        m_rx = (stv == RX_PROG) & act_n
-        m_prog = m_tx | m_rx
-        pre = m_prog & (tt < 3)
-        tail_err = (pre & (tt != 1) & seen) | (m_tx & (tt == 1) & ~seen)
-        m_eof = m_prog & (tt >= 3)
-        index = tt - 3
-        plain = np.zeros((batch, n), dtype=bool)
-        to_defer = np.zeros((batch, n), dtype=bool)
-        to_ovl = np.zeros((batch, n), dtype=bool)
-        maj_flag_entry = np.zeros((batch, n), dtype=bool)
-        maj_ext_entry = np.zeros((batch, n), dtype=bool)
-        finish = np.zeros((batch, n), dtype=bool)
-        if proto == P_CAN:
-            plain |= (m_tx & m_eof & seen) | (m_rx & m_eof & seen & (index < last))
-            deliver[m_rx & m_eof & ~seen & (index == last - 1)] += 1
-            to_ovl |= m_rx & m_eof & seen & (index == last)
-            finish |= m_eof & ~seen & (index == last)
-            # CAN receivers already delivered at the last-but-one bit.
-            succeed = m_tx & m_eof & ~seen & (index == last)
-        elif proto == P_MINOR:
-            plain |= m_eof & seen & (index < last)
-            to_defer |= m_eof & seen & (index == last)
-            finish |= m_eof & ~seen & (index == last)
-            succeed = finish
-        else:
-            maj_err = m_eof & seen
-            maj_flag_entry |= maj_err & (index + 1 <= mm)
-            maj_ext_entry |= maj_err & (index + 1 > mm)
-            finish |= m_eof & ~seen & (index == last)
-            succeed = finish
-        if proto == P_MAJOR:
-            maj_tail_entry = tail_err
-        else:
-            maj_tail_entry = None
-            plain |= tail_err
-        # FLAG
-        m = (stv == FLAG) & act_n
-        flag[m] -= 1
-        st[m & (flag <= 0)] = WAIT
-        # WAIT
-        m = (stv == WAIT) & act_n
-        fb = m & first
-        first[fb] = False
-        resolved = fb & defer
-        defer[resolved] = False
-        accepted = resolved & seen
-        deliver[accepted] += 1
-        pending[accepted[:, 0]] = False
-        to_delim = m & ~seen
-        st[to_delim] = DELIM
-        drem[to_delim] = dl - 1
-        # DELIM / OVL_DELIM
-        for state_from in (DELIM, OVL_DELIM):
-            m = (stv == state_from) & act_n
-            dominant = m & seen
-            to_ovl |= dominant & (drem <= 1)
-            plain |= dominant & (drem > 1)
-            recessive = m & ~seen
-            drem[recessive] -= 1
-            to_inter = recessive & (drem <= 0)
-            st[to_inter] = INTER
-            ipos[to_inter] = 0
-        # OVL_FLAG
-        m = (stv == OVL_FLAG) & act_n
-        flag[m] -= 1
-        st[m & (flag <= 0)] = OVL_WAIT
-        # OVL_WAIT
-        m = (stv == OVL_WAIT) & act_n & ~seen
-        st[m] = OVL_DELIM
-        drem[m] = dl - 1
-        # INTER
-        m = (stv == INTER) & act_n
-        dominant = m & seen
-        to_ovl |= dominant & (ipos < INTERMISSION_LENGTH - 1)
-        bail |= (dominant & (ipos >= INTERMISSION_LENGTH - 1)).any(axis=1)
-        recessive = m & ~seen
-        ipos[recessive] += 1
-        st[recessive & (ipos >= INTERMISSION_LENGTH)] = IDLE
-        # IDLE
-        bail |= ((stv == IDLE) & act_n & seen).any(axis=1)
-        # MAJ states
-        if proto == P_MAJOR:
-            m = (stv == MAJ_FLAG) & act_n
-            flag[m] -= 1
-            st[m & (flag <= 0)] = MAJ_QUIET
-            m = (stv == MAJ_QUIET) & act_n
-            clock = tt - 2
-            votes[m & samp & (clock >= ws) & (clock <= we) & seen] += 1
-            exiting = m & (clock >= we)
-            verdict = exiting & samp
-            samp[verdict] = False
-            accepted = verdict & (votes >= mm)
-            deliver[accepted] += 1
-            pending[accepted[:, 0]] = False
-            st[exiting] = WAIT
-            first[exiting] = False
-            defer[exiting] = False
-            ext = (stv == MAJ_EXT) & act_n & (tt - 2 >= we)
-            st[ext] = WAIT
-            first[ext] = False
-            defer[ext] = False
-        # Apply the PROG-derived entries last (masks are disjoint from
-        # the epilogue-state masks above — a node is in one state).
-        st[plain] = FLAG
-        flag[plain] = FLAG_LENGTH
-        first[plain] = True
-        defer[plain] = False
-        st[to_defer] = FLAG
-        flag[to_defer] = FLAG_LENGTH
-        first[to_defer] = True
-        defer[to_defer] = True
-        st[to_ovl] = OVL_FLAG
-        flag[to_ovl] = FLAG_LENGTH
-        if maj_tail_entry is not None:
-            st[maj_tail_entry] = MAJ_FLAG
-            flag[maj_tail_entry] = FLAG_LENGTH
-            samp[maj_tail_entry] = False
-        if proto == P_MAJOR:
-            st[maj_flag_entry] = MAJ_FLAG
-            flag[maj_flag_entry] = FLAG_LENGTH
-            samp[maj_flag_entry] = True
-            votes[maj_flag_entry] = 0
-            deliver[maj_ext_entry] += 1
-            pending[maj_ext_entry[:, 0]] = False
-            st[maj_ext_entry] = MAJ_EXT
-        deliver[succeed] += 1
-        pending[succeed[:, 0]] = False
-        st[finish] = INTER
-        ipos[finish] = 0
-        t = np.where(act, t + 1, t)
-        # End of step: completion and orchestrated restarts.
-        tx_idle = act & (st[:, 0] == IDLE)
-        all_idle = (st == IDLE).all(axis=1)
-        done |= tx_idle & all_idle & ~pending
-        restart = tx_idle & pending & ~done & ~bail
-        if restart.any():
-            ready = (st == IDLE) | ((st == INTER) & (ipos == INTERMISSION_LENGTH - 1))
-            ok = restart & ready[:, 1:].all(axis=1)
-            bail |= restart & ~ok
-            if ok.any():
-                attempts[ok] += 1
-                t[ok] = 0
-                st[ok, :] = RX_PROG
-                st[ok, 0] = TX_PROG
-                flag[ok, :] = 0
-                drem[ok, :] = 0
-                ipos[ok, :] = 0
-                votes[ok, :] = 0
-                first[ok, :] = False
-                defer[ok, :] = False
-                samp[ok, :] = False
-    bail |= ~(done | bail)  # step budget exhausted
-    results: List[Optional[Tuple[Tuple[int, ...], int]]] = []
-    for b in range(batch):
-        if bail[b]:
-            results.append(None)
-        else:
-            results.append((tuple(int(x) for x in deliver[b]), int(attempts[b])))
-    return results

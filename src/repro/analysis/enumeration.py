@@ -124,7 +124,7 @@ def enumerate_tail_patterns(
         weight is ``O(ber*^flips)`` and rarely matters).
     backend:
         ``"engine"`` simulates every pattern; ``"batch"`` classifies
-        them with the vectorised tail replay of
+        them with the tail replay of
         :mod:`repro.analysis.batchreplay` (identical outcomes).
     payload:
         Data bytes of the simulated frame.  The tail-window outcomes do

@@ -76,9 +76,8 @@ class MonteCarloResult:
     no_fault_trials: int = 0
     flips_total: int = 0
     #: Merged batch-backend provenance counters (None on the engine
-    #: backend): how many sampled placements the array pass, the scalar
-    #: micro-sim, the header class cache and the engine fallback each
-    #: classified.
+    #: backend): how many sampled placements the scalar tail micro-sim,
+    #: the reduced header runs and the engine fallback each classified.
     backend_stats: Optional[dict] = None
     #: Resolved trials-per-chunk of this run.  Part of the experiment
     #: identity: it shapes the seed spawn tree, so re-running with a
@@ -254,7 +253,7 @@ def monte_carlo_tail(
     sites)`` numpy matrix whose row-major fill consumes the child's
     PCG64 stream exactly as the per-trial draws it replaced, so the
     sampled placements are bit-identical to the scalar draw order and
-    ``backend="batch"`` (vectorised tail replay) produces the exact
+    ``backend="batch"`` (the tail replay) produces the exact
     same counts as the engine for the same seed.
 
     ``chunk_trials=None`` (the default) resolves an adaptive chunk size

@@ -92,7 +92,7 @@ def reliability_comparison(
     ``backend=None`` derives the rates from the closed-form equations.
     ``"engine"`` and ``"batch"`` instead *measure* the per-frame IMO
     probability by enumerating every tail-window error pattern on the
-    bit-level simulator (per-bit engine runs vs. the vectorised replay
+    bit-level simulator (per-bit engine runs vs. the tail replay
     of :mod:`repro.analysis.batchreplay` — identical rates), then scale
     it to the profile's frame rate.
     """

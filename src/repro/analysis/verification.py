@@ -50,14 +50,15 @@ Site = Tuple[str, str, int]
 #: default ``chunk_placements=None`` adapts this baseline to the node
 #: count and — because, unlike the Monte-Carlo spawn tree, the
 #: partition cannot change verification results — to the backend: the
-#: vectorised batch backend classifies a placement roughly
+#: batch backend classifies a placement roughly
 #: :data:`~repro.parallel.seeds.BATCH_DISCOUNT` times faster, so its
 #: chunks grow by that factor to keep per-chunk wall-clock comparable.
 CHUNK_PLACEMENTS = 64
 
-#: Placements per ``evaluate`` call on the serial path — large slabs
-#: amortise the batch backend's per-pass setup without changing the
-#: enumeration order (the engine backend classifies them one by one).
+#: Placements per ``evaluate`` call on the serial path.  It only bounds
+#: the slab a batch ``evaluate`` materialises at once (its combos and
+#: outcome list); the enumeration order is the same at any slab size,
+#: and the engine backend classifies lazily one by one.
 _BATCH_SLAB = 2048
 
 
@@ -87,8 +88,8 @@ class VerificationResult:
     runs: int = 0
     counterexamples: List[Counterexample] = field(default_factory=list)
     #: Batch-backend provenance counters (None on the engine backend):
-    #: placements classified by the array pass / scalar micro-sim /
-    #: header class cache / engine fallback.
+    #: placements classified by the scalar tail micro-sim / reduced
+    #: header runs / engine fallback.
     backend_stats: Optional[dict] = None
     #: Resolved placements-per-chunk of this run (recorded even when
     #: the sweep ran inline): the partition is part of the experiment
@@ -186,10 +187,10 @@ def verify_consistency(
     sweep.  ``stop_at_first`` keeps the serial early-exit semantics and
     therefore always runs inline.
 
-    ``backend="batch"`` classifies placements with the vectorised
-    replay of :mod:`repro.analysis.batchreplay` — array passes for tail
-    placements, the stuff-aware header class cache for single header
-    flips (the ``header_sites`` F1 universe), and a transparent engine
+    ``backend="batch"`` classifies placements with the replay of
+    :mod:`repro.analysis.batchreplay` — the tail micro-model for tail
+    placements, cached reduced engine runs for combos touching header
+    sites (the ``header_sites`` F1 universe), and a transparent engine
     fallback for anything neither models, with the split recorded in
     ``result.backend_stats``; ``"engine"`` keeps one engine run per
     placement.  Both backends produce identical results.

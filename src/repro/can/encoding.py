@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.can.bits import Level
 from repro.can.fields import (
     ACK_SLOT,
     ARBITRATION_FIELDS,
     CRC,
-    CRC_DELIM,
     DATA,
     DLC,
     EOF,
@@ -246,17 +245,6 @@ class SignalProgram:
     intermission: int
     extended_flag_end: int
 
-    @property
-    def shapes(self) -> Tuple[Tuple[str, int], ...]:
-        """The run table as ``(name, length)`` pairs, in wire order."""
-        return (
-            ("error_flag", self.error_flag),
-            ("overload_flag", self.overload_flag),
-            ("delimiter", self.delimiter),
-            ("intermission", self.intermission),
-            ("extended_flag_end", self.extended_flag_end),
-        )
-
 
 @lru_cache(maxsize=64)
 def signal_program(
@@ -333,10 +321,6 @@ def signal_table(
     )
 
 
-# ---------------------------------------------------------------------------
-# Stuff-aware header site expansion (the batch backend's header view)
-# ---------------------------------------------------------------------------
-
 #: Field names whose bits belong to the stuffed frame header (SOF through
 #: the CRC sequence).  Error placements on these sites are the F1 desync
 #: universe: a single flip can add or remove a stuff condition and shift
@@ -344,177 +328,6 @@ def signal_table(
 HEADER_SITE_FIELDS = frozenset(
     {SOF, ID_A, SRR, IDE, ID_B, RTR, R1, R0, DLC, DATA, CRC}
 )
-
-#: Replay verdict kinds for :class:`HeaderSiteRow.kind`.  These are the
-#: protocol-independent stop points of a receive parse: all three
-#: protocol variants stop consuming the nominal stream at the same bit,
-#: they only differ in how they *signal* afterwards.
-HEADER_KIND_ACCEPT = "accept"
-HEADER_KIND_STUFF = "stuff_violation"
-HEADER_KIND_FORM = "form_violation"
-HEADER_KIND_CRC = "crc_error"
-HEADER_KIND_OVERRUN = "overrun"
-
-
-@dataclass(frozen=True)
-class HeaderSiteRow:
-    """One header bit-site of a frame, expanded under a single flip.
-
-    The row materialises what a nominal in-sync receiver would make of
-    the transmitted stream with this one bit inverted: the restuffed
-    parse trajectory (``signature``), the verdict ``kind`` at the first
-    protocol-independent stop point, and the desync window — the wire
-    positions over which the flipped parse announces different upcoming
-    bits than the nominal parse (``desync_start == -1`` when the flip
-    never desynchronises the parser, e.g. a CRC-sequence flip that
-    changes no stuff condition).
-    """
-
-    field: str
-    index: int
-    fire_position: int
-    level: Level
-    op: int
-    kind: str
-    crc_ok: Optional[bool]
-    complete: bool
-    stop_position: int
-    desync_start: int
-    desync_end: int
-    signature: Tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class HeaderShape:
-    """Per-frame expansion of every announced header bit-site.
-
-    ``announced`` is the set of ``(field, index)`` positions a trigger
-    can actually fire on (header sites absent from it are inert: the
-    fault never fires and the run is clean).  ``rows`` holds one
-    :class:`HeaderSiteRow` per announced header site in wire order;
-    ``by_site`` indexes them by ``(field, index)``.
-    """
-
-    frame: Frame
-    eof_length: int
-    tail_offset: int
-    announced: frozenset
-    rows: Tuple[HeaderSiteRow, ...]
-    by_site: Dict[Tuple[str, int], HeaderSiteRow]
-
-
-def _replay_flipped(
-    bit_values: Tuple[int, ...], flip: Optional[int], eof_length: int
-):
-    """Replay a receive parse of ``bit_values`` with one bit inverted.
-
-    Returns ``(records, kind, crc_ok, complete, reconstructed, stop)``
-    where ``records`` is the per-bit ``(field, index, is_stuff, code)``
-    trajectory (pre-feed upcoming plus the step code), ``kind`` is the
-    verdict at the first stop point, ``reconstructed`` is the parsed
-    frame or ``None``, and ``stop`` is the wire position of the last
-    consumed bit.  ``flip=None`` replays the nominal stream.
-    """
-    # Local import: repro.can.parser deliberately does not import this
-    # module, so the replay can live next to the encoder it inverts.
-    from repro.can.parser import (
-        STEP_ACK_DELIM,
-        STEP_FORM_VIOLATION,
-        STEP_STUFF_VIOLATION,
-        FastFrameParser,
-    )
-
-    parser = FastFrameParser(eof_length=eof_length)
-    records: List[Tuple[str, int, bool, int]] = []
-    kind = HEADER_KIND_OVERRUN
-    stop = len(bit_values) - 1
-    for position, bit in enumerate(bit_values):
-        if flip is not None and position == flip:
-            bit ^= 1
-        pre_field = parser.next_field
-        pre_index = parser.next_index
-        pre_stuff = parser.next_is_stuff
-        code = parser.feed_code(Level(bit))
-        records.append((pre_field, pre_index, pre_stuff, code))
-        if code == STEP_STUFF_VIOLATION:
-            kind = HEADER_KIND_STUFF
-            stop = position
-            break
-        if code == STEP_FORM_VIOLATION:
-            kind = HEADER_KIND_FORM
-            stop = position
-            break
-        if code == STEP_ACK_DELIM and parser.crc_ok is False:
-            kind = HEADER_KIND_CRC
-            stop = position
-            break
-        if parser.complete:
-            kind = HEADER_KIND_ACCEPT
-            stop = position
-            break
-    reconstructed = parser.frame() if parser.header_complete else None
-    return records, kind, parser.crc_ok, parser.complete, reconstructed, stop
-
-
-@lru_cache(maxsize=256)
-def header_shape(frame: Frame, eof_length: int = STANDARD_EOF_LENGTH) -> HeaderShape:
-    """Expand every announced header bit-site of ``frame`` under a flip.
-
-    For each ``(field, index)`` the transmitter announces before the CRC
-    delimiter, the shape replays a full receive parse of the stream with
-    that one wire bit inverted (the stuffed region restuffs itself: the
-    replay consumes the *transmitted* levels, so an added or removed
-    stuff condition shifts the parse exactly as it would on the bus) and
-    records the verdict kind, the desync window against the nominal
-    parse, and the complete trajectory signature used by the batch
-    backend to share classification work between equivalent sites.
-    """
-    program = wire_program(frame, eof_length=eof_length)
-    tail_offset = program.positions.index((CRC_DELIM, 0))
-    announced = frozenset(program.positions[:tail_offset])
-    nominal_records, _, _, _, _, _ = _replay_flipped(
-        program.bit_values, None, eof_length
-    )
-    rows: List[HeaderSiteRow] = []
-    by_site: Dict[Tuple[str, int], HeaderSiteRow] = {}
-    for position in range(tail_offset):
-        site = program.positions[position]
-        if site in by_site or site[0] not in HEADER_SITE_FIELDS:
-            continue
-        records, kind, crc_ok, complete, reconstructed, stop = _replay_flipped(
-            program.bit_values, position, eof_length
-        )
-        desync_start = -1
-        for later in range(position + 1, len(records)):
-            nominal = nominal_records[later][:3] if later < len(nominal_records) else None
-            if records[later][:3] != nominal:
-                desync_start = later
-                break
-        desync_end = stop if desync_start >= 0 else -1
-        row = HeaderSiteRow(
-            field=site[0],
-            index=site[1],
-            fire_position=position,
-            level=program.levels[position],
-            op=program.ops[position],
-            kind=kind,
-            crc_ok=crc_ok,
-            complete=complete,
-            stop_position=stop,
-            desync_start=desync_start,
-            desync_end=desync_end,
-            signature=(kind, crc_ok, complete, reconstructed, tuple(records)),
-        )
-        rows.append(row)
-        by_site[site] = row
-    return HeaderShape(
-        frame=frame,
-        eof_length=eof_length,
-        tail_offset=tail_offset,
-        announced=announced,
-        rows=tuple(rows),
-        by_site=by_site,
-    )
 
 
 @dataclass(frozen=True)

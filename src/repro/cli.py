@@ -473,7 +473,7 @@ def _add_backend(parser: argparse.ArgumentParser) -> None:
         choices=["engine", "batch"],
         default="engine",
         help="placement classifier: 'engine' simulates every placement, "
-        "'batch' uses the vectorised tail/header replay (identical "
+        "'batch' uses the tail micro-model and reduced header runs (identical "
         "results; prints its batch/scalar/header/engine split)",
     )
 
@@ -566,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rate source: 'analytic' evaluates the closed-form "
         "equations; 'engine' and 'batch' measure the tail-window IMO "
         "probability on the simulator (per-pattern engine runs vs. the "
-        "vectorised replay — identical rates; 'batch' prints its "
+        "tail replay — identical rates; 'batch' prints its "
         "batch/scalar/header/engine split)",
     )
     p.set_defaults(func=_cmd_reliability)

@@ -14,6 +14,14 @@ class ConfigurationError(ReproError):
     """A component was constructed or configured with invalid parameters."""
 
 
+def check_backend(backend: str) -> None:
+    """Reject a simulation backend other than ``"engine"`` or ``"batch"``."""
+    if backend not in ("engine", "batch"):
+        raise ConfigurationError(
+            "unknown backend %r (use 'engine' or 'batch')" % (backend,)
+        )
+
+
 class FrameError(ReproError):
     """A CAN frame definition is invalid (identifier, payload, DLC...)."""
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.can.bits import DOMINANT, RECESSIVE
 from repro.can.fields import EOF
 from repro.can.frame import data_frame
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_backend
 from repro.faults.bit_errors import RandomViewErrorInjector
 from repro.faults.injector import (
     CompositeInjector,
@@ -108,8 +108,8 @@ def run_campaign(
     on how many workers executed the rounds.  ``jobs > 1`` fans chunks
     of rounds out over the worker pool with identical results.
 
-    ``backend="batch"`` classifies noise-free rounds with the vectorised
-    tail replay of :mod:`repro.analysis.batchreplay`, and noisy rounds
+    ``backend="batch"`` classifies noise-free rounds with the tail
+    replay of :mod:`repro.analysis.batchreplay`, and noisy rounds
     with the draw-order-preserving scan of
     :mod:`repro.analysis.noisebatch` — a round whose noise mask never
     fires resolves through the same tail replay; a round whose mask
@@ -117,10 +117,7 @@ def run_campaign(
     are identical either way; provenance lands in
     ``CampaignOutcome.backend_stats``.
     """
-    if backend not in ("engine", "batch"):
-        raise ConfigurationError(
-            "unknown backend %r (use 'engine' or 'batch')" % (backend,)
-        )
+    check_backend(backend)
     outcome = CampaignOutcome(spec=spec)
     children = spawn_seeds(spec.seed, spec.rounds)
     tasks = []

@@ -81,7 +81,11 @@ def write_jsonl(path_or_handle: Any, records: Iterable[Any]) -> int:
 
 
 def read_jsonl(path_or_handle: Any) -> List[Dict[str, Any]]:
-    """Load a JSON Lines file written by :func:`write_jsonl`."""
+    """Load a JSON Lines file written by :func:`write_jsonl`.
+
+    Every non-blank line must hold one JSON object; any other line
+    fails with a :class:`ReproError` naming its line number.
+    """
     if hasattr(path_or_handle, "read"):
         lines = path_or_handle.read().splitlines()
     else:
@@ -93,9 +97,12 @@ def read_jsonl(path_or_handle: Any) -> List[Dict[str, Any]]:
         if not line:
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except ValueError as exc:
             raise ReproError("invalid JSONL at line %d: %s" % (number, exc))
+        if not isinstance(record, dict):
+            raise ReproError("line %d is not a JSON object" % number)
+        records.append(record)
     return records
 
 

@@ -47,7 +47,7 @@ def rng_from(child: ChildSeed) -> "np.random.Generator":
     return np.random.default_rng(child)
 
 
-#: Per-placement cost discount of the vectorised batch backend relative
+#: Per-placement cost discount of the batch backend relative
 #: to the per-bit engine: the ``cost_units`` divisor that verification
 #: and sweep-cell chunk resolution apply on the batch backend.  Resolved
 #: chunk sizes are part of sweep cell keys, so changing it re-keys every

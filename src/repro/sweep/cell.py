@@ -11,7 +11,7 @@ already holds, and a key changes exactly when the result could.
 
 Evaluation reuses the repository's existing pipeline end to end: the
 exact tail-pattern enumeration of :mod:`repro.analysis.enumeration`
-(engine or vectorised batch backend) for the simulated probabilities,
+(engine or batch backend) for the simulated probabilities,
 equations 4/5 for the analytic surface, and the ISO 11898 bit-timing
 model for the physical feasibility of the (bit rate, bus length) point.
 """
@@ -22,7 +22,7 @@ import hashlib
 import math
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import AnalysisError, ConfigurationError, check_backend
 from repro.metrics.export import json_line
 from repro.parallel.seeds import BATCH_DISCOUNT, adaptive_chunk
 from repro.sweep.spec import SweepCell
@@ -58,10 +58,7 @@ def cell_constants(
     backend: str = "batch",
 ) -> Dict[str, Any]:
     """The code-relevant constants folded into a cell's identity."""
-    if backend not in ("engine", "batch"):
-        raise ConfigurationError(
-            "unknown backend %r (use 'engine' or 'batch')" % (backend,)
-        )
+    check_backend(backend)
     cost_units = _pattern_count(cell.n_nodes, window, max_flips) / float(
         _BASELINE_PATTERNS
     )
@@ -293,10 +290,7 @@ def traffic_cell_constants(
     every analytic key even if the parameter names were ever to
     collide.
     """
-    if backend not in ("engine", "batch"):
-        raise ConfigurationError(
-            "unknown backend %r (use 'engine' or 'batch')" % (backend,)
-        )
+    check_backend(backend)
     cost_units = (windows * window_bits) / _BASELINE_TRAFFIC_BITS
     return {
         "key_version": KEY_VERSION,

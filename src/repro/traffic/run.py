@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, check_backend
 from repro.traffic.schedule import build_schedule, traffic_seed_tree
 from repro.traffic.spec import ID_BASE, Submission, TrafficSpec
 
@@ -676,11 +676,9 @@ def run_traffic(
     events; HLP windows run on the engine outright.  The per-window
     provenance is reported in :attr:`TrafficOutcome.backend_stats`.
     """
-    from repro.errors import ConfigurationError
     from repro.parallel.pool import run_tasks
 
-    if backend not in ("engine", "batch"):
-        raise ConfigurationError("unknown traffic backend %r" % (backend,))
+    check_backend(backend)
     schedule = build_schedule(spec)
     per_window: List[List[Submission]] = [[] for _ in range(spec.windows)]
     for sub in schedule:

@@ -8,8 +8,8 @@ the engine.  These tests enforce that contract:
 * over the **full tail-site universe of every golden-corpus frame**
   (single flips exhaustively, multi-flips sampled with a fixed seed);
 * over the **full header-site universe** (the F1 desync placements,
-  classified through the stuff-aware header class cache) for every
-  protocol, network size and announced field;
+  classified through cached reduced engine runs) for every protocol,
+  network size and announced field;
 * over a **seeded random sweep** of 1-3 flip placements per protocol;
 * through every wired entry point (``verify_consistency``,
   ``enumerate_tail_patterns``, ``monte_carlo_tail``, ``m_ablation``,
@@ -40,7 +40,7 @@ from repro.analysis.verification import (
 )
 from repro.can.frame import data_frame
 from repro.cli import main
-from repro.errors import AnalysisError
+from repro.errors import ConfigurationError
 from repro.faults.injector import ScriptedInjector, Trigger, ViewFault
 from repro.faults.scenarios import make_controller, run_single_frame_scenario
 from repro.tracestore import load_trace
@@ -158,32 +158,9 @@ class TestSeededRandomSweep:
             expected = engine_oracle(protocol, m, node_names, combo, frame)
             assert (outcome.deliveries, outcome.attempts) == expected, combo
 
-    def test_numpy_and_python_backends_agree(self, monkeypatch):
-        """The array pass and the scalar micro-sim, each forced in turn."""
-        node_names = ["tx", "r1", "r2"]
-
-        def classify(break_even, protocol, m, combos):
-            monkeypatch.setattr(batchreplay, "_ARRAY_BREAK_EVEN", break_even)
-            batchreplay.clear_caches()
-            evaluator = BatchReplayEvaluator(protocol, m, node_names)
-            outcomes = evaluator.evaluate(combos)
-            return outcomes, evaluator.stats
-
-        for protocol, m in SWEEP_CONFIGS:
-            sites = universe(protocol, m, node_names)
-            rng = random.Random(7 * m)
-            combos = [(s,) for s in sites] + [
-                tuple(rng.sample(sites, 2)) for _ in range(40)
-            ]
-            vec, vec_stats = classify(0, protocol, m, combos)
-            pure, pure_stats = classify(10**9, protocol, m, combos)
-            assert vec_stats["batch"] > 0 and pure_stats["batch"] == 0
-            for a, b in zip(vec, pure):
-                assert (a.deliveries, a.attempts) == (b.deliveries, b.attempts)
-
 
 class TestHeaderDifferential:
-    """Header flips ride the class cache; verdicts == engine exactly."""
+    """Header flips ride reduced engine runs; verdicts == engine exactly."""
 
     #: majorcan requires m >= 3, so its "small m" config is m=3.
     HEADER_CONFIGS = (
@@ -214,15 +191,19 @@ class TestHeaderDifferential:
 
     @pytest.mark.parametrize("n_nodes", (2, 4))
     def test_all_announced_fields_match_engine(self, n_nodes):
-        from repro.can.encoding import header_shape
+        from repro.can.encoding import wire_program
+        from repro.can.fields import CRC_DELIM
 
         node_names = tuple(["tx"] + ["r%d" % i for i in range(1, n_nodes)])
         for protocol, m in (("can", 5), ("majorcan", 3)):
             evaluator = BatchReplayEvaluator(protocol, m, node_names)
-            shape = header_shape(evaluator.frame, evaluator.shape.eof_length)
+            positions = wire_program(
+                evaluator.frame, evaluator.shape.eof_length
+            ).positions
+            announced = set(positions[: positions.index((CRC_DELIM, 0))])
             combos = [
                 ((name, field_name, index),)
-                for (field_name, index) in sorted(shape.announced)
+                for (field_name, index) in sorted(announced)
                 for name in node_names
             ]
             outcomes = evaluator.evaluate(combos)
@@ -235,6 +216,36 @@ class TestHeaderDifferential:
                     outcome.deliveries,
                     outcome.attempts,
                 ) == expected, (protocol, m, combo)
+
+    @pytest.mark.parametrize(
+        "payload, data_bits, parent_runs",
+        [(b"\x55", 8, 24), (bytes(range(0x11, 0x89, 0x11)), 64, 136)],
+        ids=["f1-universe", "8-byte-data"],
+    )
+    def test_single_header_flips_cost_at_most_one_run_per_site_and_role(
+        self, monkeypatch, payload, data_bits, parent_runs
+    ):
+        # Every single header flip shares one reduced run per (role,
+        # site) — a faulted transmitter, or one faulted receiver out of
+        # the symmetric receivers — so the universe costs at most two
+        # reduced runs per header site, never one per placement.
+        runs = []
+        oracle = batchreplay.engine_placement
+
+        def counting(*args):
+            runs.append(args[-1])
+            return oracle(*args)
+
+        monkeypatch.setattr(batchreplay, "engine_placement", counting)
+        batchreplay.clear_caches()
+        node_names = ("tx", "r1", "r2")
+        frame = data_frame(0x123, payload, message_id="m")
+        evaluator = BatchReplayEvaluator("majorcan", 5, node_names, frame=frame)
+        combos = [(site,) for site in header_sites(node_names, data_bits)]
+        evaluator.evaluate(combos)
+        assert evaluator.stats["header"] == len(combos)
+        assert len(runs) <= parent_runs
+        batchreplay.clear_caches()
 
     def test_inert_header_sites_match_clean_run(self):
         # The default 1-byte payload never announces DATA index 60, and
@@ -537,11 +548,11 @@ class TestWiredEntryPoints:
         assert any(hits[EngineEvaluator]), "the CAN 2-flip universe has hits"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ConfigurationError):
             verify_consistency("can", backend="cuda")
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ConfigurationError):
             enumerate_tail_patterns("can", backend="cuda")
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ConfigurationError):
             monte_carlo_tail("can", trials=1, backend="cuda")
 
 
@@ -566,8 +577,8 @@ class TestSignalShapeHook:
     def test_tail_shape_consumes_the_hook(self):
         frame = data_frame(0x123, b"\x55", message_id="m")
         shape = tail_shape("majorcan", 5, frame)
-        assert dict(shape.signal_shapes)["extended_flag_end"] == 20
-        assert dict(shape.signal_shapes)["delimiter"] == 11
+        assert shape.window_end == 20
+        assert shape.delimiter_length == 11
         assert shape.supported
 
 
@@ -617,17 +628,12 @@ class TestCacheBounds:
 
     def test_header_and_reduced_caches_stay_bounded(self, monkeypatch):
         unbounded = self._header_verdicts()
-        assert len(batchreplay._HEADER_CLASS_CACHE) > self.LIMIT
         assert len(batchreplay._REDUCED_CACHE) > self.LIMIT
         assert len(batchreplay._COMBO_CACHE) > self.LIMIT
         monkeypatch.setattr(batchreplay, "_COMBO_CACHE_LIMIT", self.LIMIT)
         bounded = self._header_verdicts()
         assert bounded == unbounded
-        for cache in (
-            batchreplay._HEADER_CLASS_CACHE,
-            batchreplay._REDUCED_CACHE,
-            batchreplay._COMBO_CACHE,
-        ):
+        for cache in (batchreplay._REDUCED_CACHE, batchreplay._COMBO_CACHE):
             assert 0 < len(cache) <= self.LIMIT
         batchreplay.clear_caches()
 

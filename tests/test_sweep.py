@@ -315,6 +315,15 @@ class TestResultStore:
         with pytest.raises(ReproError, match="invalid JSONL"):
             store.records()
 
+    def test_non_object_log_line_is_a_located_error(self, tmp_path):
+        store = ResultStore(str(tmp_path / "s"))
+        store.append([self.record("a", 1)])
+        with open(store.log_path, "a") as handle:
+            handle.write("42\n")
+        store.append([self.record("c", 3)])
+        with pytest.raises(ReproError, match="line 2 is not a JSON object"):
+            store.records()
+
     def test_compacted_store_stays_strict(self, tmp_path):
         store = ResultStore(str(tmp_path / "s"))
         store.append([self.record("a", 1)])

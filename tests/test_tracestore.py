@@ -302,6 +302,26 @@ class TestSharedJsonlHelpers:
         with pytest.raises(ReproError):
             read_jsonl(str(path))
 
+    @pytest.mark.parametrize(
+        "line_number, bad_line", [(1, "42"), (3, "[1, 2]")], ids=["first", "later"]
+    )
+    def test_replay_of_a_non_object_line_names_the_line(
+        self, tmp_path, line_number, bad_line
+    ):
+        from repro.cli import main
+        from repro.errors import ReproError
+
+        outcome = _fig1b_outcome()
+        lines = records_to_text(
+            outcome_records(outcome, spec=spec_from_outcome(outcome))
+        ).splitlines()
+        lines[line_number - 1] = bad_line
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        message = "line %d is not a JSON object" % line_number
+        with pytest.raises(ReproError, match=message):
+            main(["replay", str(path)])
+
     def test_records_to_text_matches_file_output(self, tmp_path):
         outcome = _fig1b_outcome()
         spec = spec_from_outcome(outcome)

@@ -10,7 +10,7 @@ engine runs on noise-free workloads.
 import pytest
 
 from repro.analysis.reliability import reliability_comparison, reliability_sweep
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.faults.campaigns import CampaignSpec, run_campaign
 
 
@@ -144,5 +144,5 @@ class TestReliabilityBackend:
             )
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ConfigurationError):
             reliability_comparison(1e-5, backend="gpu")

@@ -1,22 +1,23 @@
 #!/usr/bin/env python
 """Assert the batch backends stay off the per-bit engine.
 
-The PR 6 acceptance bar: on noise-free batch-backend runs of
+On noise-free batch-backend runs of
 
-* bounded verification over the full ≤ 2-flip header+tail universe,
+* bounded verification over the full ≤ 2-flip header+tail universe of
+  a 1-byte-payload frame (DLC and DATA header sites plus EOF),
 * a seeded fault-injection campaign, and
 * the enumerated reliability rates,
 
 fewer than 1% of placements/rounds/patterns may fall back to a full
-engine run — everything else must classify on the vectorised batch,
-header-class or scalar micro-sim routes.  CI runs this next to the
+engine run — everything else must classify on the tail micro-sim or
+through cached reduced header runs.  CI runs this next to the
 golden-trace corpus replay: the corpus pins the engine's behaviour,
 this pins the batch layer's *coverage* of that behaviour.
 
-The PR 10 bar extends the same discipline to *noisy* runs: with random
-per-bit noise at realistic BERs, the vectorised flip scan must resolve
-most windows/rounds without a full per-bit engine run — under 10% may
-fall back to one.  Resumed windows (scan finds a flip, engine re-enters
+The same discipline holds on *noisy* runs: with random per-bit noise
+at realistic BERs, the vectorised flip scan must resolve most
+windows/rounds without a full per-bit engine run — under 10% may fall
+back to one.  Resumed windows (scan finds a flip, engine re-enters
 from the cut) are the designed noisy path and do not count against the
 bound; full fallbacks do.
 
@@ -63,11 +64,11 @@ def check_verification() -> dict:
     from repro.faults.scenarios import make_controller
 
     node_names = ("tx", "r1", "r2")
-    frame = data_frame(0x123, b"", message_id="share-check")
+    frame = data_frame(0x123, b"\x55", message_id="share-check")
     parts = []
     for protocol, m in (("can", 5), ("majorcan", 5)):
         probe = make_controller(protocol, "probe", m=m)
-        sites = list(header_sites(node_names, data_bits=0))
+        sites = list(header_sites(node_names, data_bits=8))
         sites += [
             (name, EOF, index)
             for name in node_names
